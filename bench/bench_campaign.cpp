@@ -179,7 +179,7 @@ void run_warmup_report() {
   bench::header(
       "Snapshot-forked warm-up amortization — cold vs forked trials",
       "every trial shares a warm-up longer than its fault window; "
-      "forking runs it once per scenario (tmu-soc-snapshot-v1)");
+      "forking runs it once per scenario (tmu-soc-snapshot-v2)");
 
   const auto scenarios = build_warm_scenarios(40);
   const campaign::Report cold = run_warm(scenarios, false);

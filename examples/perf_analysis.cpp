@@ -88,15 +88,13 @@ int main() {
   const sim::sched::SchedStats& ss = s.sched_stats();
   std::printf("\nscheduler: %llu module evals over %llu cycles "
               "(%.2f evals/cycle), "
-              "%llu wire writes, %llu wakeups, %zu wires / %zu edges, "
-              "%llu sensitivity misses\n",
+              "%llu wire writes, %llu wakeups, %zu wires / %zu edges\n",
               static_cast<unsigned long long>(ss.module_evals),
               static_cast<unsigned long long>(s.cycle()),
               static_cast<double>(ss.module_evals) /
                   static_cast<double>(s.cycle()),
               static_cast<unsigned long long>(ss.wire_writes),
               static_cast<unsigned long long>(ss.wakeups), ss.wires,
-              ss.edges,
-              static_cast<unsigned long long>(ss.sensitivity_misses));
+              ss.edges);
   return 0;
 }

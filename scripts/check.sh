@@ -85,7 +85,7 @@ TMU_CAMPAIGN_WORKER=./build/campaign_worker \
   ./build/distributed_campaign > /dev/null
 echo "check.sh: distributed-campaign dispatcher recovery OK"
 
-# Snapshot gate: tmu-soc-snapshot-v1 strict-decode rejection paths +
+# Snapshot gate: tmu-soc-snapshot-v2 strict-decode rejection paths +
 # committed fixture byte-pin, the hier-grid/Cheshire round-trip fuzz,
 # then the cold-vs-fork equivalence contract: a warm-up-heavy campaign
 # run via snapshot forking must report byte-identically to the cold run

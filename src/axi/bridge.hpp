@@ -59,6 +59,12 @@ class Bridge : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  /// Latched, eval() reads only the upstream request (the offered IDs'
+  /// admission); transparent, it forwards both directions.
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(up_.req);
+    if (transparent()) in.input(down_.rsp);
+  }
   void visit_state(sim::StateVisitor& v) override;
 
   bool transparent() const {

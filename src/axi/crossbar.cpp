@@ -27,6 +27,12 @@ class Crossbar::MgrShard final : public sim::Module {
   bool tick_changed_eval_state() const override {
     return x_.st_.mgr_evt[m_] != 0;
   }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(x_.mgrs_[m_]->req);
+    for (std::size_t s = 0; s < x_.subs_.size(); ++s) {
+      in.input(x_.xrsp(m_, s));
+    }
+  }
   void visit_state(sim::StateVisitor& v) override {
     // The stale-wire slots are eval-relevant (they bound the sparse
     // rewrite); the decoder hints are pure lookup caches and stay out.
@@ -61,6 +67,12 @@ class Crossbar::SubShard final : public sim::Module {
   void reset() override { prev_.fill(kNone); }
   bool tick_changed_eval_state() const override {
     return x_.st_.sub_evt[s_] != 0;
+  }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(x_.subs_[s_]->rsp);
+    for (std::size_t m = 0; m < x_.mgrs_.size(); ++m) {
+      in.input(x_.xreq(m, s_));
+    }
   }
   void visit_state(sim::StateVisitor& v) override {
     for (auto& p : prev_) visit(v, p);
@@ -117,7 +129,7 @@ void Crossbar::MgrShard::eval() {
   // --- single pass over this manager's xrsp row: grant readies from
   // the targeted subs, and the B/R sources closest to the round-robin
   // pointers (subs offering a response for this manager plus the DECERR
-  // queue as virtual source n_s) — one traced read per wire ---
+  // queue as virtual source n_s) — one read per wire ---
   std::size_t b_src = kNone;
   std::size_t r_src = kNone;
   std::size_t b_dist = n_s + 1;  // rr distance of the best source so far
@@ -222,7 +234,7 @@ void Crossbar::SubShard::eval() {
 
   // --- single pass over this subordinate's xreq column: round-robin
   // AW/AR arbitration (closest requester to the rr pointer wins), W
-  // forwarding and B/R ready collection — one traced read per wire ---
+  // forwarding and B/R ready collection — one read per wire ---
   std::size_t aw_m = kNone;
   std::size_t ar_m = kNone;
   std::size_t aw_dist = n_m;
@@ -325,6 +337,11 @@ void Crossbar::visit_submodules(
     const std::function<void(sim::Module&)>& visit) {
   for (auto& sh : mgr_shards_) visit(*sh);
   for (auto& sh : sub_shards_) visit(*sh);
+}
+
+void Crossbar::visit_inputs(sim::InputVisitor& in) {
+  for (Link* m : mgrs_) in.input(m->req);
+  for (Link* s : subs_) in.input(s->rsp);
 }
 
 /// The seed's monolithic evaluation, retained verbatim in behaviour (on

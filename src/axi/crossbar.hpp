@@ -77,6 +77,10 @@ class Crossbar : public sim::Module {
   bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_submodules(
       const std::function<void(sim::Module&)>& visit) override;
+  /// The monolithic eval's inputs: every manager request and every
+  /// subordinate response. The sharded facade is not combinational, so
+  /// the scheduler only asks its shards.
+  void visit_inputs(sim::InputVisitor& in) override;
   /// Facade-owned registered state + the internal shard-coupling wires;
   /// the shards' own scratch (stale-wire bookkeeping) rides along via
   /// their visit_state in the netlist walk.

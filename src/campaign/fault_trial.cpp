@@ -199,10 +199,6 @@ TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc) {
     if (mp.evals != 0) {
       r.metrics.counters["sched." + mp.name + ".evals"] += mp.evals;
     }
-    if (mp.sensitivity_misses != 0) {
-      r.metrics.counters["sched." + mp.name + ".sensitivity_misses"] +=
-          mp.sensitivity_misses;
-    }
   }
   r.metrics.histograms["sched.dirty_depth"].merge(prof.dirty_depth);
 

@@ -113,6 +113,10 @@ class FaultInjector : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(up_.req);
+    in.input(down_.rsp);
+  }
 
   /// Disarmed, eval() is a pure wire pass-through, so wire wakeups cover
   /// it; armed, triggered() can flip as cycle/beat counters advance, so

@@ -108,7 +108,6 @@ void Simulator::throw_full_sweep_divergence() {
 }
 
 void Simulator::visit_checkpoint(StateVisitor& v) {
-  v.set_wire_tag(sched_.wire_tag_base());
   std::uint32_t pol = static_cast<std::uint32_t>(policy_);
   v.u32(pol);
   if (!v.saving() && pol != static_cast<std::uint32_t>(policy_)) {
@@ -139,9 +138,8 @@ void Simulator::step() {
   if (policy_ == sched::SchedPolicy::kEventDriven) {
     {
       detail::ActiveContextScope scope(*ctx_);
-      // Write-only trace: wires mutated at the edge (reset callbacks,
-      // forced flushes) wake their eval readers precisely; the many
-      // register-sampling reads in tick() stay untraced and free.
+      // Write trace: wires mutated at the edge (reset callbacks, forced
+      // flushes) wake their declared eval readers precisely.
       detail::WireWriteTraceScope wtrace(sched_);
       for (Module* m : modules_) m->tick();
     }
@@ -149,10 +147,8 @@ void Simulator::step() {
     // edge touched eval-relevant register state (conservative default:
     // yes). Modules that notify through bound setters during tick (e.g.
     // the CPU stub writing TMU registers) are already enqueued.
-    for (std::size_t i = 0; i < modules_.size(); ++i) {
-      if (modules_[i]->tick_changed_eval_state()) {
-        sched_.mark_index_dirty(sched_idx_[i]);
-      }
+    for (std::uint32_t i = 0; i < modules_.size(); ++i) {
+      if (modules_[i]->tick_changed_eval_state()) sched_.mark_index_dirty(i);
     }
     ++cycle_;
     // settled_ stays true: the worklist plus the scheduler's epoch

@@ -36,8 +36,8 @@ std::string divergence_message(const std::vector<const Module*>& dirty);
 /// Settling follows the configured sched::SchedPolicy:
 ///  * kEventDriven (default) — drain a dirty-set worklist: after a clock
 ///    edge every combinational module is dirty, and from then on a
-///    value-changing wire write wakes only that wire's reader modules
-///    (sensitivity lists discovered automatically by tracing reads; see
+///    value-changing wire write wakes only that wire's declared readers
+///    (Module::visit_inputs, collected once by add(); see
 ///    sim/sched/sched.hpp). Settle cost is proportional to activity.
 ///  * kFullSweep — repeat full eval passes over every module until no
 ///    wire changes (the original kernel), kept for lockstep
@@ -68,19 +68,22 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Registers a module (non-owning; the caller keeps ownership) and
-  /// binds it to this simulator's change-epoch context. Adding the same
-  /// module to a second simulator rebinds it there (latest wins). The
-  /// context is held weakly on the module side, so destruction order
-  /// between module and simulator is unconstrained — but the registry
-  /// never self-cleans, so do not settle()/step() after a registered
-  /// module has been destroyed. Compound modules (Module::
-  /// visit_submodules) have their internal shards registered
-  /// recursively, right after the facade itself.
+  /// Registers a module (non-owning; the caller keeps ownership), binds
+  /// it to this simulator's change-epoch context and, for a
+  /// combinational module, adds its declared inputs
+  /// (Module::visit_inputs) to the scheduler's wire fan-out. Adding a
+  /// module already registered here is a no-op. Adding it to a second
+  /// simulator rebinds it there (latest wins, and its declared wires now
+  /// wake readers in that simulator only). The context is held weakly on
+  /// the module side, so destruction order between module and simulator
+  /// is unconstrained — but the registry never self-cleans, so do not
+  /// settle()/step() after a registered module has been destroyed.
+  /// Compound modules (Module::visit_submodules) have their internal
+  /// shards registered recursively, right after the facade itself.
   void add(Module& m) {
+    if (!sched_.register_module(m)) return;
     m.bind_context(ctx_);
     modules_.push_back(&m);
-    sched_idx_.push_back(sched_.register_module(m));
     settled_ = false;
     m.visit_submodules([this](Module& sub) { add(sub); });
   }
@@ -129,10 +132,11 @@ class Simulator {
   /// the activity-proportional cost the event-driven scheduler minimises.
   std::uint64_t module_evals() const { return module_evals_; }
 
-  /// Event-driven scheduler counters (wires, edges, wakeups, misses).
+  /// Event-driven scheduler counters (declared wires and edges, writes,
+  /// wakeups, drains).
   const sched::SchedStats& sched_stats() const { return sched_.stats(); }
 
-  /// Per-module scheduler profile (eval counts, wake causes, misses,
+  /// Per-module scheduler profile (eval counts, wake causes,
   /// dirty-depth histogram). Event-driven mode only; empty counters
   /// under kFullSweep.
   sched::SchedProfile sched_profile() const { return sched_.profile(); }
@@ -158,12 +162,12 @@ class Simulator {
 
   /// Checkpoint serde (sim/state.hpp), driven by the snapshot layer as
   /// the FIRST stop of the netlist walk: cycle/eval counters plus the
-  /// scheduler checkpoint, and — on load — seeds the visitor's wire
-  /// re-tag base and re-establishes the settled-state cache (the capture
-  /// contract is a settled netlist; restoring wire values bypasses the
-  /// change epoch on purpose). The snapshot records the sched policy and
-  /// load fails on a mismatch: worklist contents and eval counters are
-  /// policy-dependent, so a cross-policy restore could not be exact.
+  /// scheduler checkpoint, and — on load — re-establishes the
+  /// settled-state cache (the capture contract is a settled netlist;
+  /// restoring wire values bypasses the change epoch on purpose). The
+  /// snapshot records the sched policy and load fails on a mismatch:
+  /// worklist contents and eval counters are policy-dependent, so a
+  /// cross-policy restore could not be exact.
   void visit_checkpoint(StateVisitor& v);
 
  private:
@@ -171,8 +175,7 @@ class Simulator {
   void settle_event_driven();
   [[noreturn]] void throw_full_sweep_divergence();
 
-  std::vector<Module*> modules_;
-  std::vector<std::uint32_t> sched_idx_;  ///< parallel to modules_
+  std::vector<Module*> modules_;  ///< index = scheduler index
   std::vector<std::function<void(std::uint64_t)>> cycle_callbacks_;
   std::shared_ptr<SimContext> ctx_ = std::make_shared<SimContext>();
   // Declared after ctx_: destroyed first, so its dirty-sink detach in

@@ -9,6 +9,7 @@
 
 namespace sim {
 
+class InputVisitor;
 class StateVisitor;
 
 /// Base class for all cycle-level hardware models.
@@ -48,6 +49,17 @@ class Module {
   virtual void visit_submodules(const std::function<void(Module&)>& visit) {
     (void)visit;
   }
+
+  /// Sensitivity declaration (sim/wire.hpp): call `in.input(w)` for every
+  /// wire eval() may read, on any path. A superset is safe — an extra
+  /// wire only costs an eval when it changes. A missing wire is a missed
+  /// wake: the module keeps a stale output until something else wakes
+  /// it, which the event-vs-full-sweep lockstep gates report as a
+  /// divergence. Called once, when Simulator::add() registers a
+  /// combinational module. Modules whose eval() reads no wire (reads
+  /// only in tick(), or drives outputs from registers alone) keep the
+  /// empty default.
+  virtual void visit_inputs(InputVisitor& in) { (void)in; }
 
   /// Queried by the event-driven scheduler right after every tick():
   /// may this clock edge have changed state that eval() depends on?

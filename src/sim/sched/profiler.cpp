@@ -26,9 +26,8 @@ std::string SchedProfile::top_modules(std::size_t n) const {
 
   const std::uint64_t total = total_evals();
   std::string out;
-  sim::jsonfmt::append_f(out, "%-24s %10s %6s %8s %6s %6s %6s %7s\n", "module",
-                         "evals", "%", "wire", "tick", "ntfy", "full",
-                         "misses");
+  sim::jsonfmt::append_f(out, "%-24s %10s %6s %8s %6s %6s %6s\n", "module",
+                         "evals", "%", "wire", "tick", "ntfy", "full");
   for (const ModuleProfile* m : by_evals) {
     const double pct =
         total ? 100.0 * static_cast<double>(m->evals) /
@@ -36,9 +35,9 @@ std::string SchedProfile::top_modules(std::size_t n) const {
               : 0.0;
     sim::jsonfmt::append_f(
         out, "%-24s %10" PRIu64 " %5.1f%% %8" PRIu64 " %6" PRIu64 " %6" PRIu64
-             " %6" PRIu64 " %7" PRIu64 "\n",
+             " %6" PRIu64 "\n",
         m->name.c_str(), m->evals, pct, m->wire_wakeups, m->tick_wakeups,
-        m->notify_wakeups, m->full_wakeups, m->sensitivity_misses);
+        m->notify_wakeups, m->full_wakeups);
   }
   sim::jsonfmt::append_f(out,
                          "total: %" PRIu64 " evals across %zu modules "

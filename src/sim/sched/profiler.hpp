@@ -10,18 +10,16 @@ namespace sim::sched {
 
 /// Why a module was enqueued on the event-driven worklist.
 enum class WakeCause : std::uint8_t {
-  kWire,    ///< a wire in its read-set changed value
+  kWire,    ///< a declared input wire changed value
   kTick,    ///< post-edge invalidation (tick_changed_eval_state)
   kNotify,  ///< Module::notify_state_change (testbench mutation)
   kFull,    ///< mark_all_dirty / registration (conservative wake)
 };
 
 /// One module's slice of the event-driven scheduler's activity since
-/// construction: how often it evaluated, why it woke, and how many
-/// sensitivity-list edges it learned after discovery (a dynamic
-/// read-set signature). All counters are event-driven-mode only; under
-/// kFullSweep every combinational module evaluates every pass and the
-/// profile stays zero.
+/// construction: how often it evaluated and why it woke. All counters
+/// are event-driven-mode only; under kFullSweep every combinational
+/// module evaluates every pass and the profile stays zero.
 struct ModuleProfile {
   std::string name;
   std::uint64_t evals = 0;
@@ -29,7 +27,6 @@ struct ModuleProfile {
   std::uint64_t tick_wakeups = 0;
   std::uint64_t notify_wakeups = 0;
   std::uint64_t full_wakeups = 0;
-  std::uint64_t sensitivity_misses = 0;
 
   std::uint64_t wakeups() const {
     return wire_wakeups + tick_wakeups + notify_wakeups + full_wakeups;

@@ -7,22 +7,39 @@
 #include "sim/kernel.hpp"
 #include "sim/module.hpp"
 #include "sim/state.hpp"
+#include "sim/wire.hpp"
 
 namespace sim::sched {
 
 namespace {
 
 /// Scheduler instance tags for wire-slot ownership. Starts at 1 so the
-/// zero-initialised slot of a never-traced wire can never match; 32 bits
-/// of tag space outlive any realistic campaign (a tag is consumed per
-/// Simulator construction, and a stale collision after wrap-around would
-/// only cost a re-discovery, not correctness).
+/// zero-initialised slot of a never-declared wire can never match. A tag
+/// is consumed per Simulator construction; 32 bits of tag space outlive
+/// any realistic campaign. Should the counter wrap, a wire declared under
+/// a destroyed scheduler could carry a live scheduler's tag and a stale
+/// id. owns() keeps such an id inside the fan-out table, where it shares
+/// the list of whichever wire holds that id: writes to either wire then
+/// wake both wires' readers. That costs extra evals, never a missed wake.
 std::uint64_t next_tag() {
   static std::atomic<std::uint32_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
+
+/// Collects one module's declared inputs into fan-out edges.
+class EventScheduler::FanoutBuilder final : public InputVisitor {
+ public:
+  FanoutBuilder(EventScheduler& s, std::uint32_t reader)
+      : s_(s), reader_(reader) {}
+
+ private:
+  void on_input(std::uint64_t& slot) override { s_.add_edge(slot, reader_); }
+
+  EventScheduler& s_;
+  std::uint32_t reader_;
+};
 
 EventScheduler::EventScheduler(SimContext& ctx)
     : ctx_(ctx), tag_(next_tag()) {
@@ -31,26 +48,47 @@ EventScheduler::EventScheduler(SimContext& ctx)
 
 EventScheduler::~EventScheduler() { ctx_.attach_dirty_sink(nullptr); }
 
-std::uint32_t EventScheduler::register_module(Module& m) {
-  const auto [it, inserted] =
-      index_of_.try_emplace(&m, static_cast<std::uint32_t>(modules_.size()));
-  if (inserted) {
-    modules_.push_back(&m);
-    combinational_.push_back(m.is_combinational() ? 1 : 0);
-    discovered_.push_back(0);
-    read_set_.emplace_back();
-    dirty_.push_back(0);
-    prof_evals_.push_back(0);
-    prof_wire_wakes_.push_back(0);
-    prof_tick_wakes_.push_back(0);
-    prof_notify_wakes_.push_back(0);
-    prof_full_wakes_.push_back(0);
-    prof_misses_.push_back(0);
+bool EventScheduler::register_module(Module& m) {
+  const auto idx = static_cast<std::uint32_t>(modules_.size());
+  if (!index_of_.try_emplace(&m, idx).second) return false;
+  modules_.push_back(&m);
+  combinational_.push_back(m.is_combinational() ? 1 : 0);
+  dirty_.push_back(0);
+  prof_evals_.push_back(0);
+  prof_wire_wakes_.push_back(0);
+  prof_tick_wakes_.push_back(0);
+  prof_notify_wakes_.push_back(0);
+  prof_full_wakes_.push_back(0);
+  if (combinational_[idx] != 0) {
+    // Tick-only modules never evaluate, so they need no wakes.
+    FanoutBuilder edges(*this, idx);
+    m.visit_inputs(edges);
+    enqueue(idx, WakeCause::kFull);
   }
-  if (combinational_[it->second] != 0) {
-    enqueue(it->second, WakeCause::kFull);
+  return true;
+}
+
+bool EventScheduler::owns(std::uint64_t slot) const {
+  return (slot >> 32) == tag_ &&
+         static_cast<std::uint32_t>(slot) < fanout_.size();
+}
+
+void EventScheduler::add_edge(std::uint64_t& slot, std::uint32_t reader) {
+  auto w = static_cast<std::uint32_t>(slot);
+  if (!owns(slot)) {
+    // First declaration here (a slot tagged by another scheduler means
+    // the wire moved simulators: wire-disjointness makes that a handoff).
+    w = static_cast<std::uint32_t>(fanout_.size());
+    slot = (tag_ << 32) | w;
+    fanout_.emplace_back();
+    stats_.wires = fanout_.size();
   }
-  return it->second;
+  // A module's declarations arrive together, so a repeat is at the back.
+  std::vector<std::uint32_t>& readers = fanout_[w];
+  if (readers.empty() || readers.back() != reader) {
+    readers.push_back(reader);
+    ++stats_.edges;
+  }
 }
 
 void EventScheduler::mark_all_dirty() {
@@ -75,38 +113,12 @@ void EventScheduler::enqueue(std::uint32_t idx, WakeCause cause) {
   }
 }
 
-std::uint32_t EventScheduler::wire_id(std::uint64_t& slot) {
-  if ((slot >> 32) == tag_) return static_cast<std::uint32_t>(slot);
-  // First sight (or a slot owned by another scheduler — wire-disjointness
-  // makes that a handoff, not sharing): claim it.
-  const std::uint32_t id = n_wires_++;
-  slot = (tag_ << 32) | id;
-  fanout_.emplace_back();
-  stats_.wires = n_wires_;
-  return id;
-}
-
-void EventScheduler::on_wire_read(std::uint64_t& slot) {
-  const std::uint32_t w = wire_id(slot);
-  if (cur_ == kNoModule) return;  // not inside a drained eval
-  auto& rs = read_set_[cur_];
-  if (w >= rs.size()) rs.resize(n_wires_, false);
-  if (!rs[w]) {
-    rs[w] = true;
-    fanout_[w].push_back(cur_);
-    ++stats_.edges;
-    if (discovered_[cur_] != 0) {
-      ++stats_.sensitivity_misses;
-      if (profiling_) ++prof_misses_[cur_];
-    }
-  }
-}
-
 void EventScheduler::on_wire_write(std::uint64_t& slot) {
   absorb_attributed_bump();
-  const std::uint32_t w = wire_id(slot);
   ++stats_.wire_writes;
-  for (const std::uint32_t reader : fanout_[w]) {
+  // Another scheduler's (or no) tag: no reader declared this wire here.
+  if (!owns(slot)) return;
+  for (const std::uint32_t reader : fanout_[static_cast<std::uint32_t>(slot)]) {
     if (dirty_[reader] == 0) {
       dirty_[reader] = 1;
       queue_.push_back(reader);
@@ -136,7 +148,7 @@ void EventScheduler::absorb_attributed_bump() {
 }
 
 std::size_t EventScheduler::drain(int max_delta_iterations) {
-  detail::WireTraceScope trace(*this);
+  detail::WireWriteTraceScope trace(*this);
   const std::size_t budget =
       static_cast<std::size_t>(max_delta_iterations) *
       std::max<std::size_t>(modules_.size(), 1);
@@ -147,16 +159,13 @@ std::size_t EventScheduler::drain(int max_delta_iterations) {
   while (head_ < queue_.size()) {
     if (evals >= budget) throw_divergence();
     const std::uint32_t m = queue_[head_++];
-    // Clear before eval: a module writing a wire in its own read-set
-    // legitimately re-enqueues itself (a delta iteration).
+    // Clear before eval: a module writing a wire it reads legitimately
+    // re-enqueues itself (a delta iteration).
     dirty_[m] = 0;
-    cur_ = m;
     modules_[m]->eval();
-    discovered_[m] = 1;
     if (profiling_) ++prof_evals_[m];
     ++evals;
   }
-  cur_ = kNoModule;
   queue_.clear();
   head_ = 0;
   stats_.module_evals += evals;
@@ -175,7 +184,6 @@ SchedProfile EventScheduler::profile() const {
     mp.tick_wakeups = prof_tick_wakes_[i];
     mp.notify_wakeups = prof_notify_wakes_[i];
     mp.full_wakeups = prof_full_wakes_[i];
-    mp.sensitivity_misses = prof_misses_[i];
     p.modules.push_back(std::move(mp));
   }
   p.dirty_depth = depth_hist_;
@@ -191,24 +199,6 @@ void EventScheduler::visit_checkpoint(StateVisitor& v) {
     v.fail("scheduler module count mismatch: snapshot has " +
            std::to_string(n_modules) + ", restoring netlist has " +
            std::to_string(modules_.size()));
-  }
-
-  visit(v, n_wires_);
-
-  // Which modules completed their first traced eval (controls whether a
-  // new edge counts as a sensitivity miss).
-  for (auto& d : discovered_) {
-    bool b = d != 0;
-    v.boolean(b);
-    if (!v.saving()) d = b ? 1 : 0;
-  }
-
-  // Fan-out lists, exact order: wake order feeds the drain's FIFO, so
-  // list order is behavior, not just structure.
-  visit(v, fanout_);
-  if (!v.saving() && fanout_.size() != n_wires_) {
-    v.fail("scheduler fan-out table has " + std::to_string(fanout_.size()) +
-           " wires, header says " + std::to_string(n_wires_));
   }
 
   // Pending worklist (the active queue region). Empty at a settled
@@ -237,12 +227,7 @@ void EventScheduler::visit_checkpoint(StateVisitor& v) {
   visit(v, stats_.drains);
   visit(v, stats_.wire_writes);
   visit(v, stats_.wakeups);
-  visit(v, stats_.sensitivity_misses);
   visit(v, stats_.full_invalidations);
-  std::uint64_t wires = stats_.wires;
-  std::uint64_t edges = stats_.edges;
-  visit(v, wires);
-  visit(v, edges);
 
   visit(v, profiling_);
   visit(v, prof_evals_);
@@ -250,34 +235,16 @@ void EventScheduler::visit_checkpoint(StateVisitor& v) {
   visit(v, prof_tick_wakes_);
   visit(v, prof_notify_wakes_);
   visit(v, prof_full_wakes_);
-  visit(v, prof_misses_);
   visit(v, depth_hist_);
 
   if (!v.saving()) {
-    stats_.wires = static_cast<std::size_t>(wires);
-    stats_.edges = static_cast<std::size_t>(edges);
     for (const auto* arr : {&prof_evals_, &prof_wire_wakes_,
                             &prof_tick_wakes_, &prof_notify_wakes_,
-                            &prof_full_wakes_, &prof_misses_}) {
+                            &prof_full_wakes_}) {
       if (arr->size() != modules_.size()) {
         v.fail("scheduler profile array size mismatch");
       }
     }
-    // Rebuild read-sets as the fan-out inverse (read_set_ and fanout_
-    // are two views of the same edge set).
-    read_set_.assign(modules_.size(), {});
-    for (std::uint32_t w = 0; w < fanout_.size(); ++w) {
-      for (const std::uint32_t m : fanout_[w]) {
-        if (m >= modules_.size()) {
-          v.fail("scheduler fan-out names module " + std::to_string(m) +
-                 " out of range");
-        }
-        auto& rs = read_set_[m];
-        if (rs.size() < n_wires_) rs.resize(n_wires_, false);
-        rs[w] = true;
-      }
-    }
-    cur_ = kNoModule;
     accounted_epoch_ = ctx_.epoch();
   }
 }
@@ -288,7 +255,6 @@ void EventScheduler::throw_divergence() {
   queue_.erase(queue_.begin(),
                queue_.begin() + static_cast<std::ptrdiff_t>(head_));
   head_ = 0;
-  cur_ = kNoModule;
   std::vector<const Module*> dirty;
   dirty.reserve(queue_.size());
   for (const std::uint32_t m : queue_) dirty.push_back(modules_[m]);

@@ -38,24 +38,22 @@ struct SchedStats {
   std::uint64_t drains = 0;              ///< drains that evaluated >=1 module
   std::uint64_t wire_writes = 0;         ///< value-changing writes observed
   std::uint64_t wakeups = 0;             ///< modules enqueued by wire writes
-  std::uint64_t sensitivity_misses = 0;  ///< edges learned after discovery
   std::uint64_t full_invalidations = 0;  ///< mark_all_dirty() calls
-  std::size_t wires = 0;                 ///< wires in the registry
-  std::size_t edges = 0;                 ///< wire→module fan-out edges
+  std::size_t wires = 0;                 ///< wires with >=1 declared reader
+  std::size_t edges = 0;                 ///< declared wire→module edges
 };
 
 /// Event-driven settle scheduler for one Simulator.
 ///
-/// Wires get a dense identity lazily, on first traced access, via the
-/// owner-tagged slot embedded in Wire (sim/sched/trace.hpp). Every eval
-/// the scheduler runs is traced, so each module's read-set (sensitivity
-/// list) is discovered automatically on its first eval and kept a
-/// superset of the true dependency set forever after: a module whose
-/// read-set changes at runtime is only ever re-evaluated because a wire
-/// it previously read changed, and that traced re-eval records the new
-/// edges (counted as sensitivity misses) before they can be needed.
-/// Read-sets are inverted on the fly into per-wire fan-out lists; a
-/// value-changing write wakes exactly the reader modules.
+/// Declared sensitivity: register_module() asks each combinational
+/// module for the wires its eval() may read (Module::visit_inputs) and
+/// appends the module to each wire's fan-out list, so fan-out lists hold
+/// readers in registration order — the order the full sweep evaluates
+/// them in. A declared wire's embedded slot (sim/sched/trace.hpp) is
+/// tagged with this scheduler's instance tag and its dense id, so a
+/// value-changing write indexes its fan-out directly and wakes exactly
+/// the declared readers. The fan-out is a pure function of the netlist
+/// and its registration order; nothing is learned at run time.
 ///
 /// Epoch accounting: the scheduler absorbs context-epoch bumps it can
 /// attribute (traced wire writes, module notifications) by tracking the
@@ -72,18 +70,20 @@ class EventScheduler final : public detail::WireTrace,
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
 
-  /// Registers a module (idempotent) and marks it dirty; returns its
-  /// dense index for O(1) dirty-marking. Registration order is the
-  /// drain's tie-break order, mirroring the full sweep.
-  std::uint32_t register_module(Module& m);
+  /// Registers a module, builds the fan-out edges of its declared inputs
+  /// and marks it dirty. Returns false (and does nothing) when `m` is
+  /// already registered here. Registration order is the drain's
+  /// tie-break order, mirroring the full sweep; a module's index is its
+  /// registration position.
+  bool register_module(Module& m);
 
   /// Enqueues every combinational module (resets, external writes,
   /// policy switches — anything that can change state behind the wires'
   /// backs and can't name the affected modules).
   void mark_all_dirty();
 
-  /// Enqueues one module by its register_module() index (no-op for
-  /// tick-only modules). The kernel's precise post-edge invalidation.
+  /// Enqueues one module by its registration index (no-op for tick-only
+  /// modules). The kernel's precise post-edge invalidation.
   void mark_index_dirty(std::uint32_t idx) {
     if (combinational_[idx] != 0) enqueue(idx, WakeCause::kTick);
   }
@@ -103,9 +103,9 @@ class EventScheduler final : public detail::WireTrace,
 
   const SchedStats& stats() const { return stats_; }
 
-  /// Per-module profiling (default on): eval counts, wake causes,
-  /// sensitivity misses, dirty-set depth. One array index per enqueue —
-  /// cheap enough to leave on; turn off to measure the floor.
+  /// Per-module profiling (default on): eval counts, wake causes and
+  /// dirty-set depth. One array index per enqueue — cheap enough to
+  /// leave on; turn off to measure the floor.
   void set_profiling(bool on) { profiling_ = on; }
   bool profiling() const { return profiling_; }
 
@@ -113,30 +113,25 @@ class EventScheduler final : public detail::WireTrace,
   /// and the dirty-depth histogram accumulated so far.
   SchedProfile profile() const;
 
-  /// This scheduler's wire-slot owner tag, shifted into the slot's tag
-  /// field — the base a snapshot loader re-tags restored wire slots with
-  /// (StateVisitor::set_wire_tag).
-  std::uint64_t wire_tag_base() const { return tag_ << 32; }
-
-  /// Checkpoint serde (sim/state.hpp): the discovered sensitivity
-  /// structure (wire count, fan-out lists — wake order is part of the
-  /// drain's deterministic behavior), the pending worklist, and every
-  /// observability counter, so a restored scheduler continues with the
-  /// exact counters and wake behavior the captured one would have had.
-  /// Load requires the restoring scheduler to hold the same module
-  /// registry (same netlist, registered in the same order); read-sets
-  /// are rebuilt as the fan-out inverse and the epoch accounting is
-  /// resynchronized to the restoring context.
+  /// Checkpoint serde (sim/state.hpp): the pending worklist and every
+  /// run-time counter, so a restored scheduler continues with the exact
+  /// counters and wake behavior the captured one would have had. The
+  /// fan-out is not stored: the restoring simulator's add() calls
+  /// rebuilt it from the same netlist. Load requires the restoring
+  /// scheduler to hold the same module registry (same netlist,
+  /// registered in the same order) and resynchronizes the epoch
+  /// accounting to the restoring context.
   void visit_checkpoint(StateVisitor& v);
 
  private:
-  static constexpr std::uint32_t kNoModule = 0xFFFF'FFFFu;
+  class FanoutBuilder;
 
-  void on_wire_read(std::uint64_t& slot) override;
   void on_wire_write(std::uint64_t& slot) override;
   void on_module_notified(const Module& m) override;
 
-  std::uint32_t wire_id(std::uint64_t& slot);
+  /// Whether `slot` names a wire in this scheduler's fan-out table.
+  bool owns(std::uint64_t slot) const;
+  void add_edge(std::uint64_t& slot, std::uint32_t reader);
   void enqueue(std::uint32_t idx, WakeCause cause);
   void absorb_attributed_bump();
   [[noreturn]] void throw_divergence();
@@ -147,32 +142,27 @@ class EventScheduler final : public detail::WireTrace,
   std::vector<Module*> modules_;
   std::unordered_map<const Module*, std::uint32_t> index_of_;
   std::vector<char> combinational_;
-  std::vector<char> discovered_;  ///< first traced eval completed
 
-  std::vector<std::vector<bool>> read_set_;          ///< [module][wire]
-  std::vector<std::vector<std::uint32_t>> fanout_;   ///< [wire] → modules
+  std::vector<std::vector<std::uint32_t>> fanout_;  ///< [wire] → readers
 
   std::vector<char> dirty_;
   std::vector<std::uint32_t> queue_;  ///< FIFO worklist
   std::size_t head_ = 0;
-  std::uint32_t cur_ = kNoModule;  ///< module being evaluated by drain()
 
-  std::uint32_t n_wires_ = 0;
   std::uint64_t accounted_epoch_ = 0;
   SchedStats stats_;
 
   // Profiler state: one slot per module, registration order. An enqueue
-  // attributes its cause to the woken module; evals and misses are
-  // attributed in drain()/on_wire_read(). Kept as parallel flat arrays
-  // (not an array of structs) so the common case — bumping one counter —
-  // touches one cache line per kind.
+  // attributes its cause to the woken module; evals are attributed in
+  // drain(). Kept as parallel flat arrays (not an array of structs) so
+  // the common case — bumping one counter — touches one cache line per
+  // kind.
   bool profiling_ = true;
   std::vector<std::uint64_t> prof_evals_;
   std::vector<std::uint64_t> prof_wire_wakes_;
   std::vector<std::uint64_t> prof_tick_wakes_;
   std::vector<std::uint64_t> prof_notify_wakes_;
   std::vector<std::uint64_t> prof_full_wakes_;
-  std::vector<std::uint64_t> prof_misses_;
   Histogram depth_hist_;  ///< worklist length at each non-empty drain
 };
 

@@ -4,21 +4,21 @@
 
 namespace sim::detail {
 
-/// Wire-access trace hooks. A scheduler installs itself thread_locally
-/// (WireTraceScope) only while it is evaluating modules, so untraced
-/// simulation pays exactly one predictable branch per wire access.
+/// Wire-write hook. A scheduler installs itself thread_locally
+/// (WireWriteTraceScope) only while its simulator evaluates or ticks
+/// modules, so untraced simulation pays exactly one predictable branch
+/// per value-changing write. Reads are never traced: fan-out comes from
+/// declared inputs (Module::visit_inputs).
 ///
-/// The `slot` passed to both callbacks is the wire's embedded identity
-/// cell (Wire::sched_slot_): the upper 32 bits carry the owning
-/// scheduler's instance tag, the lower 32 bits the wire's dense id in
-/// that scheduler's registry. A slot whose tag differs from the active
-/// scheduler's (zero-initialised wires, wires last seen by a destroyed
-/// scheduler, wires migrated between simulators) is simply re-assigned,
-/// so wire identity needs no central bookkeeping and no cleanup.
+/// The `slot` passed to the callback is the wire's embedded identity
+/// cell (Wire::sched_slot_): the upper 32 bits carry the instance tag of
+/// the scheduler that registered a reader of the wire, the lower 32 bits
+/// the wire's dense id in that scheduler's fan-out table. A slot whose
+/// tag differs from the active scheduler's (zero-initialised wires,
+/// wires nobody reads, wires declared under another simulator) has no
+/// declared reader there.
 class WireTrace {
  public:
-  /// A module evaluated under this trace read the wire.
-  virtual void on_wire_read(std::uint64_t& slot) = 0;
   /// A write changed the wire's value (called after the change-epoch
   /// bump, still under the writer's ActiveContextScope).
   virtual void on_wire_write(std::uint64_t& slot) = 0;
@@ -27,40 +27,13 @@ class WireTrace {
   ~WireTrace() = default;
 };
 
-/// The traces active on this thread, or nullptr when nothing records
-/// that kind of wire access (the common case: full-sweep settles,
-/// testbench code). Reads and writes are gated separately: an
-/// event-driven drain traces both (sensitivity discovery + wakeups),
-/// while the tick phase traces only writes (wakeups for wires mutated
-/// at the clock edge) so the many register-sampling reads in tick()
-/// stay free.
-inline thread_local WireTrace* t_wire_read_trace = nullptr;
+/// The trace active on this thread, or nullptr when no scheduler is
+/// driving modules (full-sweep settles, testbench code).
 inline thread_local WireTrace* t_wire_write_trace = nullptr;
 
-/// RAII installation of a read+write trace (drain scope). Nestable and
-/// exception-safe, mirroring ActiveContextScope: a ConvergenceError
-/// thrown mid-drain must not leave a dangling trace behind.
-class WireTraceScope {
- public:
-  explicit WireTraceScope(WireTrace& t)
-      : prev_read_(t_wire_read_trace), prev_write_(t_wire_write_trace) {
-    t_wire_read_trace = &t;
-    t_wire_write_trace = &t;
-  }
-  ~WireTraceScope() {
-    t_wire_read_trace = prev_read_;
-    t_wire_write_trace = prev_write_;
-  }
-
-  WireTraceScope(const WireTraceScope&) = delete;
-  WireTraceScope& operator=(const WireTraceScope&) = delete;
-
- private:
-  WireTrace* prev_read_;
-  WireTrace* prev_write_;
-};
-
-/// RAII installation of a write-only trace (tick scope).
+/// RAII installation of the write trace (drain and tick scopes).
+/// Nestable and exception-safe, mirroring ActiveContextScope: a
+/// ConvergenceError thrown mid-drain must not leave a dangling trace.
 class WireWriteTraceScope {
  public:
   explicit WireWriteTraceScope(WireTrace& t) : prev_(t_wire_write_trace) {

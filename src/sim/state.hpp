@@ -90,27 +90,6 @@ class StateVisitor {
     }
   }
 
-  /// Wire scheduling identity (sim/sched/trace.hpp slot encoding). Slots
-  /// are stored tag-free — 0 for a never-traced wire, otherwise bit 32
-  /// set plus the dense wire id — and re-tagged on load for the
-  /// restoring simulator's scheduler (set_wire_tag, called by
-  /// Simulator::visit_checkpoint before any wire is visited).
-  void wire_slot(std::uint64_t& slot) {
-    if (saving_) {
-      std::uint64_t norm =
-          slot == 0
-              ? 0
-              : ((std::uint64_t{1} << 32) | static_cast<std::uint32_t>(slot));
-      u64(norm);
-    } else {
-      std::uint64_t norm = 0;
-      u64(norm);
-      slot = norm == 0 ? 0 : (wire_tag_base_ | static_cast<std::uint32_t>(norm));
-    }
-  }
-
-  void set_wire_tag(std::uint64_t tag_base) { wire_tag_base_ = tag_base; }
-
   /// Bulk byte-array transfer (memory pages, blob payloads). The caller
   /// owns layout determinism; n must be the same on save and load.
   void raw(void* p, std::size_t n) {
@@ -139,7 +118,6 @@ class StateVisitor {
   }
 
   bool saving_;
-  std::uint64_t wire_tag_base_ = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -289,25 +267,22 @@ void visit(StateVisitor& v, std::map<K, V>& m) {
   }
 }
 
-/// Snapshot-layer access to a Wire's private value and scheduling slot
-/// (befriended by Wire). Loads write the value cell directly — no epoch
-/// bump, no trace hook: the restorer re-establishes the settled-state
-/// bookkeeping explicitly, so a restore must not look like activity.
+/// Snapshot-layer access to a Wire's private value (befriended by
+/// Wire). Loads write the value cell directly — no epoch bump, no trace
+/// hook: the restorer re-establishes the settled-state bookkeeping
+/// explicitly, so a restore must not look like activity. The wire's
+/// scheduling slot is not state: the restoring simulator's add() tagged
+/// it when the netlist was built.
 struct StateAccess {
   template <typename T>
   static T& value(Wire<T>& w) {
     return w.value_;
-  }
-  template <typename T>
-  static std::uint64_t& slot(Wire<T>& w) {
-    return w.sched_slot_;
   }
 };
 
 template <typename T>
 void visit(StateVisitor& v, Wire<T>& w) {
   visit(v, StateAccess::value(w));
-  v.wire_slot(StateAccess::slot(w));
 }
 
 }  // namespace sim

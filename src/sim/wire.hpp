@@ -9,6 +9,7 @@
 namespace sim {
 
 struct StateAccess;
+class InputVisitor;
 
 /// A combinational signal. Modules read inputs and write outputs through
 /// wires during eval(); the kernel repeats eval passes until no wire
@@ -19,12 +20,11 @@ struct StateAccess;
 /// evaluating on this thread, or the thread-ambient context when no
 /// simulator is active.
 ///
-/// Scheduling identity: while an event-driven scheduler traces wire
-/// accesses (sim/sched/trace.hpp), reads record a module→wire
-/// sensitivity edge and value-changing writes wake the wire's reader
-/// modules. The identity cell `sched_slot_` is assigned lazily by the
-/// scheduler on first traced access; wires are non-copyable so the cell
-/// can never be duplicated.
+/// Scheduling identity: an event-driven scheduler tags the wire's slot
+/// `sched_slot_` when a registered module declares it as an input
+/// (Module::visit_inputs), and a value-changing write under that
+/// scheduler wakes the declared readers. A read is a plain load. Wires
+/// are non-copyable so the slot can never be duplicated.
 template <typename T>
 class Wire {
  public:
@@ -34,12 +34,7 @@ class Wire {
   Wire(const Wire&) = delete;
   Wire& operator=(const Wire&) = delete;
 
-  const T& read() const {
-    if (detail::t_wire_read_trace != nullptr) {
-      detail::t_wire_read_trace->on_wire_read(sched_slot_);
-    }
-    return value_;
-  }
+  const T& read() const { return value_; }
 
   /// Writes v; bumps the attributed change epoch iff the value differs.
   void write(const T& v) {
@@ -68,13 +63,33 @@ class Wire {
   }
 
  private:
-  // Snapshot restore writes the value cell and re-tags the slot directly
-  // (sim/state.hpp): a restore re-establishes settled-state bookkeeping
-  // explicitly and must not register as wire activity.
+  // Snapshot restore writes the value cell directly (sim/state.hpp): a
+  // restore re-establishes settled-state bookkeeping explicitly and must
+  // not register as wire activity.
   friend struct StateAccess;
+  // Sensitivity declarations hand the slot to the registering scheduler.
+  friend class InputVisitor;
 
   T value_{};
-  mutable std::uint64_t sched_slot_ = 0;
+  std::uint64_t sched_slot_ = 0;
+};
+
+/// The sensitivity declaration a module makes in Module::visit_inputs():
+/// `in.input(w)` for every wire its eval() may read. The event-driven
+/// scheduler builds each wire's reader fan-out from these declarations
+/// once, when the module is added, in registration order.
+class InputVisitor {
+ public:
+  template <typename T>
+  void input(Wire<T>& w) {
+    on_input(w.sched_slot_);
+  }
+
+ protected:
+  ~InputVisitor() = default;
+
+  /// The declared wire's scheduling slot (sim/sched/trace.hpp encoding).
+  virtual void on_input(std::uint64_t& slot) = 0;
 };
 
 }  // namespace sim

@@ -14,11 +14,11 @@
 /// A Snapshot is the complete dynamic state of an elaborated Soc at a
 /// settled cycle boundary — every wire value, every module's registers
 /// and queues (via sim::StateVisitor reflection, see sim/state.hpp), the
-/// event scheduler's worklist and sensitivity bookkeeping, the RNG
-/// streams, the cycle/eval counters and the metrics registry values.
-/// Structure (modules, links, sensitivity graph shape, metric slot
-/// names) is NOT stored: it is reproduced by elaborating the same
-/// SocDesc, and the snapshot pins it with the desc's canonical hash.
+/// event scheduler's pending worklist and counters, the RNG streams, the
+/// cycle/eval counters and the metrics registry values. Structure
+/// (modules, links, the declared wire fan-out, metric slot names) is NOT
+/// stored: it is reproduced by elaborating the same SocDesc, and the
+/// snapshot pins it with the desc's canonical hash.
 ///
 /// The contract that makes forking exact: restore(capture(soc)) into a
 /// netlist built from the same desc under the same sched policy yields a
@@ -28,13 +28,15 @@
 /// common warm-up phase once and fork thousands of trials from it
 /// (campaign::ForkingTrialRunner).
 ///
-/// On-disk format `tmu-soc-snapshot-v1` (strict, versioned,
+/// On-disk format `tmu-soc-snapshot-v2` (strict, versioned,
 /// checksummed; encoded with the shared sim/bytes.hpp codec, all
 /// integers little-endian):
 ///
 ///   offset  size  field
 ///   0       16    magic "tmu-soc-snapshot"
-///   16      4     version (currently 1)
+///   16      4     version (currently 2; v1 images, which also carried
+///                 the scheduler's traced fan-out and every wire's
+///                 scheduling slot, are rejected)
 ///   20      8     topology hash (SocDesc::hash() of the captured desc)
 ///   28      8     cycle at capture
 ///   36      8     payload byte count N
@@ -51,7 +53,7 @@ namespace snapshot {
 
 inline constexpr std::size_t kMagicBytes = 16;
 inline constexpr char kMagic[kMagicBytes + 1] = "tmu-soc-snapshot";
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 /// Fixed bytes before the payload (magic + version + hash + cycle + count).
 inline constexpr std::size_t kHeaderBytes = kMagicBytes + 4 + 8 + 8 + 8;
 inline constexpr std::size_t kChecksumBytes = 8;

@@ -45,6 +45,10 @@ class LastLevelCache : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(up_.req);
+    in.input(down_.rsp);
+  }
 
   /// State serde (sim/state.hpp): tag/data arrays plus in-flight queues.
   void visit_state(sim::StateVisitor& v) override;

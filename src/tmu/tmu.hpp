@@ -68,6 +68,10 @@ class Tmu : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.input(mst_.req);
+    in.input(sub_.rsp);
+  }
   void visit_state(sim::StateVisitor& v) override;
 
   // ---- fault / recovery interface ----

@@ -37,6 +37,7 @@ class Inc : public sim::Module {
   Inc(std::string name, sim::Wire<int>& in, sim::Wire<int>& out)
       : sim::Module(std::move(name)), in_(in), out_(out) {}
   void eval() override { out_.write(in_.read() + 1); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(in_); }
 
  private:
   sim::Wire<int>& in_;
@@ -50,6 +51,7 @@ class Gain : public sim::Module {
   Gain(std::string name, sim::Wire<int>& in, sim::Wire<int>& out)
       : sim::Module(std::move(name)), in_(in), out_(out) {}
   void eval() override { out_.write(in_.read() * gain_); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(in_); }
   void set_gain(int g) {
     gain_ = g;
     notify_state_change();
@@ -264,8 +266,8 @@ TEST(SimEpoch, SimulatorsOnSeparateThreadsRunIndependently) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(finals[static_cast<std::size_t>(t)], kCycles);
     // Single-settle invariant holds on every thread: one 3-eval drain
-    // per cycle (event-driven default; the trace hooks are thread_local
-    // so concurrent drains share nothing).
+    // per cycle (event-driven default; the write-trace hook is
+    // thread_local so concurrent drains share nothing).
     EXPECT_EQ(passes[static_cast<std::size_t>(t)],
               static_cast<std::uint64_t>(3 * kCycles));
   }

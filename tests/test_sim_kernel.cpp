@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -28,6 +32,7 @@ class Inc : public sim::Module {
   Inc(std::string name, sim::Wire<int>& in, sim::Wire<int>& out)
       : sim::Module(std::move(name)), in_(in), out_(out) {}
   void eval() override { out_.write(in_.read() + 1); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(in_); }
 
  private:
   sim::Wire<int>& in_;
@@ -69,6 +74,7 @@ class Oscillator : public sim::Module {
   Oscillator(std::string name, sim::Wire<int>& w)
       : sim::Module(std::move(name)), w_(w) {}
   void eval() override { w_.write(1 - w_.read()); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(w_); }
 
  private:
   sim::Wire<int>& w_;
@@ -122,6 +128,48 @@ TEST(SimKernel, CycleCallbackSeesSettledValues) {
   s.reset();
   s.run(3);  // d = 1, 2, 3 at the three edges
   EXPECT_EQ(sum, 6);
+}
+
+// Counts its clock edges; optionally exposes one like it as a submodule,
+// the way the sharded crossbar exposes its shards.
+class TickCounter : public sim::Module {
+ public:
+  explicit TickCounter(std::string name, TickCounter* shard = nullptr)
+      : sim::Module(std::move(name)), shard_(shard) {}
+  void tick() override { ++ticks; }
+  void visit_submodules(
+      const std::function<void(sim::Module&)>& visit) override {
+    if (shard_ != nullptr) visit(*shard_);
+  }
+  int ticks = 0;
+
+ private:
+  TickCounter* shard_;
+};
+
+TEST(SimKernel, ReAddToTheSameSimulatorIsANoOp) {
+  TickCounter shard("c.shard");
+  TickCounter c("c", &shard);
+  sim::Simulator s;
+  s.add(c);
+  s.add(c);
+  s.add(shard);
+  s.run(10);
+  EXPECT_EQ(c.ticks, 10);
+  EXPECT_EQ(shard.ticks, 10);
+  EXPECT_EQ(s.modules().size(), 2u);
+}
+
+TEST(SimKernel, AddToASecondSimulatorRebinds) {
+  TickCounter c("c");
+  sim::Simulator a;
+  sim::Simulator b;
+  a.add(c);
+  b.add(c);
+  EXPECT_EQ(c.context(), &b.context());
+  b.run(3);
+  EXPECT_EQ(c.ticks, 3);
+  EXPECT_EQ(b.modules().size(), 1u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -3,8 +3,9 @@
 // on a settled netlist, the settled-state cache must be invalidated by
 // everything that can change observable state (tick, reset, Wire::force,
 // external writes, late module registration), and the event-driven
-// scheduler must wake only reader modules, re-discover dynamic read-sets
-// on sensitivity misses, and name the offenders on divergence.
+// scheduler must wake only declared readers, treat declarations as
+// supersets, and name the offenders on divergence. A missing declaration
+// surfaces as a lockstep divergence from the full sweep.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +41,7 @@ class Inc : public sim::Module {
   Inc(std::string name, sim::Wire<int>& in, sim::Wire<int>& out)
       : sim::Module(std::move(name)), in_(in), out_(out) {}
   void eval() override { out_.write(in_.read() + 1); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(in_); }
 
  private:
   sim::Wire<int>& in_;
@@ -52,6 +54,7 @@ class PassThrough : public sim::Module {
   PassThrough(std::string name, sim::Wire<int>& in, sim::Wire<int>& out)
       : sim::Module(std::move(name)), in_(in), out_(out) {}
   void eval() override { out_.write(in_.read()); }
+  void visit_inputs(sim::InputVisitor& v) override { v.input(in_); }
 
  private:
   sim::Wire<int>& in_;
@@ -73,6 +76,50 @@ class Source : public sim::Module {
  private:
   sim::Wire<int>& out_;
   int value_ = 0;
+};
+
+// out = sel ? b : a. Reads b only while sel != 0, but declares all three
+// inputs: a declaration covers every path through eval().
+class Mux : public sim::Module {
+ public:
+  Mux(std::string name, sim::Wire<int>& sel, sim::Wire<int>& a,
+      sim::Wire<int>& b, sim::Wire<int>& out)
+      : sim::Module(std::move(name)), sel_(sel), a_(a), b_(b), out_(out) {}
+  void eval() override {
+    out_.write(sel_.read() != 0 ? b_.read() : a_.read());
+  }
+  void visit_inputs(sim::InputVisitor& v) override {
+    v.input(sel_);
+    v.input(a_);
+    v.input(b_);
+  }
+
+ private:
+  sim::Wire<int>& sel_;
+  sim::Wire<int>& a_;
+  sim::Wire<int>& b_;
+  sim::Wire<int>& out_;
+};
+
+// A stateless combinational copy whose clock edges never touch
+// eval-relevant state, so only wire wakes re-evaluate it. `declare`
+// false omits its input from visit_inputs: the bug a lockstep gate must
+// catch.
+class Follower : public sim::Module {
+ public:
+  Follower(std::string name, sim::Wire<int>& in, sim::Wire<int>& out,
+           bool declare)
+      : sim::Module(std::move(name)), in_(in), out_(out), declare_(declare) {}
+  void eval() override { out_.write(in_.read()); }
+  bool tick_changed_eval_state() const override { return false; }
+  void visit_inputs(sim::InputVisitor& v) override {
+    if (declare_) v.input(in_);
+  }
+
+ private:
+  sim::Wire<int>& in_;
+  sim::Wire<int>& out_;
+  bool declare_;
 };
 
 // Netlist under test: flop -> inc -> flop (a counter). With inc
@@ -370,28 +417,11 @@ TEST(SimSettleEventDriven, NotifyReEvaluatesOnlyTheNotifiedCone) {
   EXPECT_EQ(s.module_evals() - e0, 1u);
 }
 
-TEST(SimSettleEventDriven, SensitivityMissRediscoversDynamicReadSet) {
-  // mux reads `b` only while sel != 0, so its discovered read-set starts
-  // as {sel, a}. Changing b while sel == 0 must not wake it (its output
-  // provably cannot change); once sel flips and a traced re-eval reads
-  // b, the new edge is learned (a sensitivity miss) and subsequent b
-  // changes propagate.
-  class Mux : public sim::Module {
-   public:
-    Mux(std::string name, sim::Wire<int>& sel, sim::Wire<int>& a,
-        sim::Wire<int>& b, sim::Wire<int>& out)
-        : sim::Module(std::move(name)), sel_(sel), a_(a), b_(b), out_(out) {}
-    void eval() override {
-      out_.write(sel_.read() != 0 ? b_.read() : a_.read());
-    }
-
-   private:
-    sim::Wire<int>& sel_;
-    sim::Wire<int>& a_;
-    sim::Wire<int>& b_;
-    sim::Wire<int>& out_;
-  };
-
+TEST(SimSettleEventDriven, DeclaredSupersetCostsOneExtraEval) {
+  // mux declares {sel, a, b} although it reads b only while sel != 0.
+  // A change to b while sel == 0 wakes it for nothing: one extra eval,
+  // output unchanged. Once sel flips, b's changes propagate with no
+  // learning step.
   sim::Wire<int> sel, a, b, out;
   Source src("src", b);
   Mux mux("mux", sel, a, b, out);
@@ -400,28 +430,61 @@ TEST(SimSettleEventDriven, SensitivityMissRediscoversDynamicReadSet) {
   s.add(mux);
   s.reset();
 
-  // b := 7 through the source: only src is dirty, and b's fan-out does
-  // not yet include mux, so exactly one eval runs.
   std::uint64_t e0 = s.module_evals();
   src.set_value(7);
   s.settle();
-  EXPECT_EQ(s.module_evals() - e0, 1u);
+  EXPECT_EQ(s.module_evals() - e0, 2u);  // src, then mux via b's fan-out
   EXPECT_EQ(out.read(), 0);
 
-  // sel := 1 (ambient write -> mark-all): mux now reads b, recording the
-  // missing edge.
-  const std::uint64_t misses0 = s.sched_stats().sensitivity_misses;
-  sel.write(1);
+  sel.write(1);  // ambient write -> mark-all
   s.settle();
   EXPECT_EQ(out.read(), 7);
-  EXPECT_GT(s.sched_stats().sensitivity_misses, misses0);
 
-  // b := 9 through the source again: the learned edge wakes mux.
   e0 = s.module_evals();
   src.set_value(9);
   s.settle();
   EXPECT_EQ(out.read(), 9);
-  EXPECT_EQ(s.module_evals() - e0, 2u);  // src, then mux via b's fan-out
+  EXPECT_EQ(s.module_evals() - e0, 2u);
+}
+
+TEST(SimSettleEventDriven, UndeclaredInputDivergesFromFullSweep) {
+  // follow copies the counter's q. Stepped in lockstep against the full
+  // sweep (the oracle of the equivalence gates), the declared copy
+  // tracks it every cycle; the copy that omits q from visit_inputs is
+  // never woken by q and diverges on the first edge that changes q.
+  struct Net {
+    sim::Wire<int> q, d, out;
+    DFlop flop{"flop", d, q};
+    Inc inc{"inc", q, d};
+    Follower follow;
+    sim::Simulator s;
+
+    Net(SchedPolicy p, bool declare) : follow("follow", q, out, declare), s(p) {
+      s.add(inc);
+      s.add(flop);
+      s.add(follow);
+      s.reset();
+    }
+  };
+  Net oracle(SchedPolicy::kFullSweep, /*declare=*/false);
+  Net declared(SchedPolicy::kEventDriven, /*declare=*/true);
+  Net omitted(SchedPolicy::kEventDriven, /*declare=*/false);
+  // reset() evaluates every module once, so all three agree at cycle 0.
+  EXPECT_EQ(omitted.out.read(), oracle.out.read());
+
+  int first_divergence = -1;
+  for (int cycle = 1; cycle <= 5; ++cycle) {
+    oracle.s.step();
+    declared.s.step();
+    omitted.s.step();
+    EXPECT_EQ(declared.out.read(), oracle.out.read()) << "cycle " << cycle;
+    if (first_divergence < 0 && omitted.out.read() != oracle.out.read()) {
+      first_divergence = cycle;
+    }
+  }
+  EXPECT_EQ(first_divergence, 1);
+  EXPECT_EQ(omitted.out.read(), 0);  // stale since reset
+  EXPECT_EQ(oracle.out.read(), 5);
 }
 
 TEST(SimSettleEventDriven, PolicySwitchMidRunStaysConsistent) {
@@ -439,9 +502,9 @@ TEST(SimSettleEventDriven, PolicySwitchMidRunStaysConsistent) {
 TEST(SimSettleEventDriven, StatsReportWiresAndEdges) {
   CounterFixture f;
   const sim::sched::SchedStats& st = f.s.sched_stats();
-  // Wires touched during settle: q and d (flop reads d only in tick,
-  // which is untraced — so q/d both exist but only q carries an edge).
-  EXPECT_EQ(st.wires, 2u);
+  // Wires with a declared reader: only q (inc reads it in eval; the
+  // flop samples d in tick(), so it declares nothing).
+  EXPECT_EQ(st.wires, 1u);
   EXPECT_EQ(st.edges, 1u);  // inc <- q
   EXPECT_GT(st.module_evals, 0u);
   EXPECT_GT(st.drains, 0u);

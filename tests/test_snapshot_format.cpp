@@ -1,4 +1,4 @@
-// tmu-soc-snapshot-v1 on-disk format: strict decode with every
+// tmu-soc-snapshot-v2 on-disk format: strict decode with every
 // rejection path pinned by byte mutation, restore() contract
 // violations, and the committed fixture byte-pin (decode -> re-encode
 // byte-identical AND re-capture byte-identical, so the walk itself is
@@ -120,6 +120,17 @@ TEST(SnapshotFormat, RejectsUnsupportedVersion) {
   std::vector<unsigned char> image = snapshot::encode(small_snapshot());
   image[snapshot::kMagicBytes] = 0x7E;  // version field, checked pre-checksum
   expect_rejects([&] { snapshot::decode(image); }, "unsupported version 126");
+}
+
+TEST(SnapshotFormat, RejectsVersionOneImages) {
+  // v1 payloads also carried the scheduler's traced fan-out and every
+  // wire's scheduling slot; a v2 reader must refuse them by name rather
+  // than misread the walk.
+  std::vector<unsigned char> image = snapshot::encode(small_snapshot());
+  ASSERT_EQ(image[snapshot::kMagicBytes], 2);
+  image[snapshot::kMagicBytes] = 1;
+  expect_rejects([&] { snapshot::decode(image); },
+                 "unsupported version 1 (reader knows 2)");
 }
 
 TEST(SnapshotFormat, RejectsPayloadCountDisagreement) {
