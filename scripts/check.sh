@@ -47,9 +47,12 @@ echo "check.sh: builder vs hand-wired topology equivalence OK"
 ./build/test_soc_hier_equiv --gtest_brief=1
 echo "check.sh: flat vs hierarchical topology equivalence OK"
 
-# Desc schema gate: nested round-trip fuzz + v1 -> v2 migration smoke.
+# Desc schema gate: nested round-trip fuzz + v1 -> v2 migration smoke,
+# then the committed canonical desc/spec/slice documents (byte pin +
+# round trip) and the mutation sweep over the three JSON decoders.
 ./build/test_soc_desc_roundtrip --gtest_brief=1
-echo "check.sh: SocDesc round-trip + v1 migration OK"
+./build/test_serde_docs --gtest_brief=1
+echo "check.sh: SocDesc round-trip + v1 migration + canonical documents OK"
 
 # Observability gate: metrics registry / latency probe / scheduler
 # profiler units, then the campaign-telemetry determinism contract (v3

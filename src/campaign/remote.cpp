@@ -17,10 +17,91 @@
 #include <utility>
 
 #include "sim/bytes.hpp"
-#include "sim/jsonemit.hpp"
-#include "sim/jsonparse.hpp"
+#include "sim/jsonio.hpp"
 #include "soc/desc.hpp"
 #include "soc/desc_serde.hpp"
+
+// Field lists of the spec and slice schemas (sim/jsonio.hpp), each in
+// its type's namespace. The document headers (schema tags, the spec's
+// topology table and run-length encoding, the slice's range and
+// checksum) are written out by hand below.
+
+namespace sim {
+
+template <typename V>
+void fields(V& v, RunningStats& s) {
+  // Full internal Welford state, not derived views: from_parts
+  // reconstructs the exact stream, so downstream merges are
+  // bit-identical to never having serialized at all.
+  std::uint64_t count = s.count();
+  double mean = s.mean(), m2 = s.m2(), min = s.min(), max = s.max();
+  v("count", count);
+  v("mean", mean);
+  v("m2", m2);
+  v("min", min);
+  v("max", max);
+  if constexpr (V::kReading) {
+    s = RunningStats::from_parts(count, mean, m2, min, max);
+  }
+}
+
+}  // namespace sim
+
+namespace obs {
+
+template <typename V>
+void fields(V& v, MetricsSnapshot& m) {
+  v.map("counters", m.counters);
+  v.map("stats", m.stats);
+  v.map("histograms", m.histograms);
+}
+
+}  // namespace obs
+
+namespace campaign {
+
+/// A spec trial run's fields after its "count" and "topology" header.
+template <typename V>
+void fields(V& v, TrialSpec& t) {
+  v.object("cfg", t.cfg);
+  v.name("point", t.point, fault::FaultPoint::kRReadyStuck, "fault point");
+  v.object("traffic", t.traffic);
+  v("seed", t.seed);
+  v("inject_delay_max", t.inject_delay_max);
+  v("detect_budget", t.detect_budget);
+  v("soak_cycles", t.soak_cycles);
+  v("max_cycles", t.max_cycles);
+  // Schema-compatible optional: absent means 0, and specs without a
+  // warm-up phase keep emitting byte-identical v1 documents (older
+  // readers, with their unknown-key strictness, still accept them).
+  if (V::kReading || t.warmup_cycles != 0) {
+    v("warmup_cycles", t.warmup_cycles);
+  }
+  v("exercise_recovery", t.exercise_recovery);
+  v.array("trace_links", t.trace_links);
+}
+
+/// A slice result's fields after its "index" header.
+template <typename V>
+void fields(V& v, TrialResult& r) {
+  v("failed", r.failed);
+  v("error", r.error);
+  v("timed_out", r.timed_out);
+  v("detected", r.detected);
+  v("recovered", r.recovered);
+  v("traffic_resumed", r.traffic_resumed);
+  v("inject_delay", r.inject_delay);
+  v("detect_cycle", r.detect_cycle);
+  v("latency", r.latency);
+  v("cycles_run", r.cycles_run);
+  v("eval_passes", r.eval_passes);
+  v("completed_txns", r.completed_txns);
+  v("data_mismatches", r.data_mismatches);
+  v("error_responses", r.error_responses);
+  v.object("metrics", r.metrics);
+}
+
+}  // namespace campaign
 
 namespace campaign::remote {
 
@@ -28,6 +109,8 @@ namespace {
 
 using sim::bytes::fnv1a64;
 using sim::jsonemit::Emitter;
+using sim::jsonio::Reader;
+using sim::jsonio::Writer;
 using sim::jsonparse::Json;
 using sim::jsonparse::ObjReader;
 
@@ -36,17 +119,6 @@ constexpr const char* kSlicePrefix = "ReportSlice::from_json";
 
 [[noreturn]] void fail(const std::string& prefix, const std::string& what) {
   throw std::invalid_argument(prefix + ": " + what);
-}
-
-bool fault_point_from_string(const std::string& s, fault::FaultPoint& out) {
-  for (int i = 0; i <= static_cast<int>(fault::FaultPoint::kRReadyStuck); ++i) {
-    const auto p = static_cast<fault::FaultPoint>(i);
-    if (s == fault::to_string(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::uint64_t parse_hex64(const std::string& s, const std::string& prefix,
@@ -92,79 +164,6 @@ TopoTable build_topo_table(const std::vector<Scenario>& scenarios) {
   return table;
 }
 
-void emit_trial_run(Emitter& e, const TrialSpec& t, std::uint64_t count,
-                    std::size_t topo_idx) {
-  e.open_obj();
-  e.u64("count", count);
-  e.u64("topology", topo_idx);
-  soc::serde::emit_tmu(e, "cfg", t.cfg);
-  e.str("point", fault::to_string(t.point));
-  soc::serde::emit_traffic(e, "traffic", t.traffic);
-  e.u64("seed", t.seed);
-  e.u64("inject_delay_max", t.inject_delay_max);
-  e.u64("detect_budget", t.detect_budget);
-  e.u64("soak_cycles", t.soak_cycles);
-  e.u64("max_cycles", t.max_cycles);
-  // Schema-compatible optional: absent means 0, and specs without a
-  // warm-up phase keep emitting byte-identical v1 documents (older
-  // readers, with their unknown-key strictness, still accept them).
-  if (t.warmup_cycles != 0) e.u64("warmup_cycles", t.warmup_cycles);
-  e.boolean("exercise_recovery", t.exercise_recovery);
-  e.open_arr("trace_links");
-  for (const std::string& l : t.trace_links) e.str_elem(l);
-  e.close_arr();
-  e.close_obj();
-}
-
-void parse_trial_run(const Json& v, const std::string& where,
-                     const std::vector<soc::SocDesc>& topologies,
-                     std::vector<TrialSpec>& out) {
-  ObjReader r(v, where, kSpecPrefix);
-  std::uint64_t count = 1;
-  r.get_u("count", count);
-  if (count == 0) r.fail(r.ctx("count") + " must be at least 1");
-  std::uint64_t topo = 0;
-  r.get_u("topology", topo);
-  if (topo >= topologies.size()) {
-    r.fail(r.ctx("topology") + ": index " + std::to_string(topo) +
-           " out of range (table has " + std::to_string(topologies.size()) +
-           " entries)");
-  }
-  TrialSpec t;
-  t.desc = topologies[topo];
-  if (const Json* c = r.take("cfg")) {
-    soc::serde::parse_tmu(*c, where + ".cfg", kSpecPrefix, t.cfg);
-  }
-  std::string point = fault::to_string(t.point);
-  r.get("point", point);
-  if (!fault_point_from_string(point, t.point)) {
-    r.fail(r.ctx("point") + ": unknown fault point '" + point + "'");
-  }
-  if (const Json* tr = r.take("traffic")) {
-    soc::serde::parse_traffic(*tr, where + ".traffic", kSpecPrefix, t.traffic);
-  }
-  r.get_u("seed", t.seed);
-  r.get_u("inject_delay_max", t.inject_delay_max);
-  r.get_u("detect_budget", t.detect_budget);
-  r.get_u("soak_cycles", t.soak_cycles);
-  r.get_u("max_cycles", t.max_cycles);
-  r.get_u("warmup_cycles", t.warmup_cycles);
-  r.get("exercise_recovery", t.exercise_recovery);
-  if (const Json* links = r.take("trace_links")) {
-    if (links->kind != Json::Kind::kArray) {
-      r.fail(r.ctx("trace_links") + " must be an array of strings");
-    }
-    for (const Json& l : links->arr) {
-      if (l.kind != Json::Kind::kString) {
-        r.fail(r.ctx("trace_links") + " must be an array of strings");
-      }
-      t.trace_links.push_back(l.str);
-    }
-  }
-  r.finish();
-  out.insert(out.end(), count, t);
-}
-
 }  // namespace
 
 std::uint64_t CampaignSpec::total_trials() const {
@@ -194,6 +193,7 @@ std::string CampaignSpec::to_json() const {
   // Rebuild the memo per emission pass: intern() below must see the
   // same first-use order the table was built with.
   TopoTable lookup = build_topo_table(scenarios);
+  Writer w(e);
   for (const Scenario& sc : scenarios) {
     e.open_obj();
     e.str("label", sc.label);
@@ -203,7 +203,11 @@ std::string CampaignSpec::to_json() const {
     for (std::size_t i = 0; i < sc.trials.size();) {
       std::size_t j = i + 1;
       while (j < sc.trials.size() && sc.trials[j] == sc.trials[i]) ++j;
-      emit_trial_run(e, sc.trials[i], j - i, lookup.intern(sc.trials[i].desc));
+      e.open_obj();
+      e.u64("count", j - i);
+      e.u64("topology", lookup.intern(sc.trials[i].desc));
+      fields(w, const_cast<TrialSpec&>(sc.trials[i]));
+      e.close_obj();
       i = j;
     }
     e.close_arr();
@@ -274,9 +278,23 @@ CampaignSpec CampaignSpec::from_json(const std::string& json) {
           sr.fail(where + ".trials must be an array");
         }
         for (std::size_t ti = 0; ti < trials->arr.size(); ++ti) {
-          parse_trial_run(trials->arr[ti],
-                          where + ".trials[" + std::to_string(ti) + "]",
-                          topologies, sc.trials);
+          Reader tr(trials->arr[ti],
+                    where + ".trials[" + std::to_string(ti) + "]", kSpecPrefix);
+          std::uint64_t count = 1;
+          tr.get_u("count", count);
+          if (count == 0) tr.fail(tr.ctx("count") + " must be at least 1");
+          std::uint64_t topo = 0;
+          tr.get_u("topology", topo);
+          if (topo >= topologies.size()) {
+            tr.fail(tr.ctx("topology") + ": index " + std::to_string(topo) +
+                    " out of range (table has " +
+                    std::to_string(topologies.size()) + " entries)");
+          }
+          TrialSpec t;
+          t.desc = topologies[topo];
+          fields(tr, t);
+          tr.finish();
+          sc.trials.insert(sc.trials.end(), count, t);
         }
       }
       sr.finish();
@@ -304,151 +322,29 @@ std::uint64_t CampaignSpec::topologies_hash() const {
 
 namespace {
 
-void emit_result(Emitter& e, const TrialResult& r, std::uint64_t index) {
-  e.open_obj();
-  e.u64("index", index);
-  e.boolean("failed", r.failed);
-  e.str("error", r.error);
-  e.boolean("timed_out", r.timed_out);
-  e.boolean("detected", r.detected);
-  e.boolean("recovered", r.recovered);
-  e.boolean("traffic_resumed", r.traffic_resumed);
-  e.u64("inject_delay", r.inject_delay);
-  e.u64("detect_cycle", r.detect_cycle);
-  e.u64("latency", r.latency);
-  e.u64("cycles_run", r.cycles_run);
-  e.u64("eval_passes", r.eval_passes);
-  e.u64("completed_txns", r.completed_txns);
-  e.u64("data_mismatches", r.data_mismatches);
-  e.u64("error_responses", r.error_responses);
-  e.open_obj("metrics");
-  e.open_obj("counters");
-  for (const auto& [name, v] : r.metrics.counters) e.u64(name.c_str(), v);
-  e.close_obj();
-  e.open_obj("stats");
-  for (const auto& [name, s] : r.metrics.stats) {
-    e.open_obj(name.c_str());
-    // Full internal Welford state, not derived views: from_parts below
-    // reconstructs the exact stream, so downstream merges are
-    // bit-identical to never having serialized at all.
-    e.u64("count", s.count());
-    e.dbl("mean", s.mean());
-    e.dbl("m2", s.m2());
-    e.dbl("min", s.min());
-    e.dbl("max", s.max());
-    e.close_obj();
-  }
-  e.close_obj();
-  e.open_obj("histograms");
-  for (const auto& [name, h] : r.metrics.histograms) {
-    e.open_obj(name.c_str());
-    for (const auto& [value, count] : h.bins()) {
-      e.u64(std::to_string(value).c_str(), count);
-    }
-    e.close_obj();
-  }
-  e.close_obj();
-  e.close_obj();
-  e.close_obj();
-}
-
-/// The checksum input: the results array serialized standalone (depth
-/// 0). Canonical by construction, so parse -> re-serialize -> compare
-/// detects any value-level corruption the JSON grammar itself missed.
-std::string serialize_results(const std::vector<TrialResult>& results,
-                              std::uint64_t begin) {
-  Emitter e;
-  e.open_arr();
+/// Writes the results array: as the slice's "results" member, or with
+/// `key` null standalone at depth 0, which is the checksum input
+/// (canonical by construction, so parse -> re-serialize -> compare
+/// detects any value-level corruption the JSON grammar itself missed).
+void write_results(Emitter& e, const char* key,
+                   const std::vector<TrialResult>& results,
+                   std::uint64_t begin) {
+  Writer w(e);
+  e.open_arr(key);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_result(e, results[i], begin + i);
+    e.open_obj();
+    e.u64("index", begin + i);
+    fields(w, const_cast<TrialResult&>(results[i]));
+    e.close_obj();
   }
   e.close_arr();
-  return std::move(e).take();
 }
 
-TrialResult parse_result(const Json& v, const std::string& where,
-                         std::uint64_t expected_index) {
-  ObjReader r(v, where, kSlicePrefix);
-  std::uint64_t index = ~std::uint64_t{0};
-  r.get_u("index", index);
-  if (index != expected_index) {
-    r.fail(r.ctx("index") + ": expected " + std::to_string(expected_index) +
-           ", got " + std::to_string(index));
-  }
-  TrialResult out;
-  r.get("failed", out.failed);
-  r.get("error", out.error);
-  r.get("timed_out", out.timed_out);
-  r.get("detected", out.detected);
-  r.get("recovered", out.recovered);
-  r.get("traffic_resumed", out.traffic_resumed);
-  r.get_u("inject_delay", out.inject_delay);
-  r.get_u("detect_cycle", out.detect_cycle);
-  r.get_u("latency", out.latency);
-  r.get_u("cycles_run", out.cycles_run);
-  r.get_u("eval_passes", out.eval_passes);
-  r.get_u("completed_txns", out.completed_txns);
-  r.get_u("data_mismatches", out.data_mismatches);
-  r.get_u("error_responses", out.error_responses);
-  if (const Json* m = r.take("metrics")) {
-    ObjReader mr(*m, where + ".metrics", kSlicePrefix);
-    if (const Json* c = mr.take("counters")) {
-      if (c->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("counters") + " must be an object");
-      }
-      for (const auto& [name, val] : c->obj) {
-        if (val.kind != Json::Kind::kNumber || !val.is_unsigned) {
-          mr.fail(mr.ctx("counters") + "." + name +
-                  " must be a non-negative integer");
-        }
-        out.metrics.counters[name] = val.unum;
-      }
-    }
-    if (const Json* st = mr.take("stats")) {
-      if (st->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("stats") + " must be an object");
-      }
-      for (const auto& [name, val] : st->obj) {
-        ObjReader sr(val, where + ".metrics.stats." + name, kSlicePrefix);
-        std::uint64_t count = 0;
-        double mean = 0.0, m2 = 0.0, mn = 0.0, mx = 0.0;
-        sr.get_u("count", count);
-        sr.get("mean", mean);
-        sr.get("m2", m2);
-        sr.get("min", mn);
-        sr.get("max", mx);
-        sr.finish();
-        out.metrics.stats[name] =
-            sim::RunningStats::from_parts(count, mean, m2, mn, mx);
-      }
-    }
-    if (const Json* h = mr.take("histograms")) {
-      if (h->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("histograms") + " must be an object");
-      }
-      for (const auto& [name, val] : h->obj) {
-        if (val.kind != Json::Kind::kObject) {
-          mr.fail(mr.ctx("histograms") + "." + name + " must be an object");
-        }
-        sim::Histogram& hist = out.metrics.histograms[name];
-        for (const auto& [bin, count] : val.obj) {
-          if (bin.empty() ||
-              bin.find_first_not_of("0123456789") != std::string::npos) {
-            mr.fail(mr.ctx("histograms") + "." + name + ": bin '" + bin +
-                    "' is not a non-negative integer");
-          }
-          if (count.kind != Json::Kind::kNumber || !count.is_unsigned) {
-            mr.fail(mr.ctx("histograms") + "." + name + "." + bin +
-                    " must be a non-negative integer");
-          }
-          hist.add_count(std::strtoull(bin.c_str(), nullptr, 10), count.unum);
-        }
-      }
-    }
-    mr.finish();
-  }
-  r.finish();
-  return out;
+std::uint64_t results_checksum(const std::vector<TrialResult>& results,
+                               std::uint64_t begin) {
+  Emitter e;
+  write_results(e, nullptr, results, begin);
+  return fnv1a64(std::move(e).take());
 }
 
 }  // namespace
@@ -461,12 +357,8 @@ std::string ReportSlice::to_json() const {
   e.hex64("topology_hash", topology_hash);
   e.u64("begin", begin);
   e.u64("end", end);
-  e.open_arr("results");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_result(e, results[i], begin + i);
-  }
-  e.close_arr();
-  e.hex64("checksum", fnv1a64(serialize_results(results, begin)));
+  write_results(e, "results", results, begin);
+  e.hex64("checksum", results_checksum(results, begin));
   e.close_obj();
   std::string out = std::move(e).take();
   out += '\n';
@@ -501,11 +393,18 @@ ReportSlice ReportSlice::from_json(const std::string& json) {
            " results for range [" + std::to_string(s.begin) + ", " +
            std::to_string(s.end) + ")");
   }
-  s.results.reserve(results->arr.size());
+  s.results.resize(results->arr.size());
   for (std::size_t i = 0; i < results->arr.size(); ++i) {
-    s.results.push_back(parse_result(results->arr[i],
-                                     "slice.results[" + std::to_string(i) + "]",
-                                     s.begin + i));
+    Reader rr(results->arr[i], "slice.results[" + std::to_string(i) + "]",
+              kSlicePrefix);
+    std::uint64_t index = ~std::uint64_t{0};
+    rr.get_u("index", index);
+    if (index != s.begin + i) {
+      rr.fail(rr.ctx("index") + ": expected " + std::to_string(s.begin + i) +
+              ", got " + std::to_string(index));
+    }
+    fields(rr, s.results[i]);
+    rr.finish();
   }
   std::string checksum_hex;
   r.get("checksum", checksum_hex);
@@ -516,8 +415,7 @@ ReportSlice ReportSlice::from_json(const std::string& json) {
   // fingerprints. Any value the parser accepted but that differs from
   // what the worker serialized (bit-flipped number, truncated name)
   // changes the canonical bytes and is caught here.
-  const std::uint64_t actual = fnv1a64(serialize_results(s.results, s.begin));
-  if (actual != declared) {
+  if (results_checksum(s.results, s.begin) != declared) {
     r.fail("slice.checksum mismatch: results were altered in transit");
   }
   return s;

@@ -51,17 +51,22 @@ class ObjReader {
 
   template <typename UInt>
   void get_u(const char* key, UInt& out) {
-    if (const Json* v = take(key)) {
-      if (v->kind != Json::Kind::kNumber || !v->is_unsigned) {
-        fail(ctx(key) + " must be a non-negative integer");
-      }
-      if (v->unum > std::numeric_limits<UInt>::max()) {
-        fail(ctx(key) + ": " + std::to_string(v->unum) +
-             " does not fit the field (max " +
-             std::to_string(std::numeric_limits<UInt>::max()) + ")");
-      }
-      out = static_cast<UInt>(v->unum);
+    if (const Json* v = take(key)) read_u(*v, out, [&] { return ctx(key); });
+  }
+
+  /// get_u's check on a value already in hand (a map entry). `path()`
+  /// names the value; it is called only to build an error message.
+  template <typename UInt, typename Path>
+  void read_u(const Json& v, UInt& out, const Path& path) const {
+    if (v.kind != Json::Kind::kNumber || !v.is_unsigned) {
+      fail(path() + " must be a non-negative integer");
     }
+    if (v.unum > std::numeric_limits<UInt>::max()) {
+      fail(path() + ": " + std::to_string(v.unum) +
+           " does not fit the field (max " +
+           std::to_string(std::numeric_limits<UInt>::max()) + ")");
+    }
+    out = static_cast<UInt>(v.unum);
   }
 
   /// Call last: rejects unconsumed (unknown) keys.
@@ -69,6 +74,7 @@ class ObjReader {
 
   std::string ctx(const char* key) const { return where_ + "." + key; }
   const std::string& where() const { return where_; }
+  const std::string& prefix() const { return prefix_; }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw std::invalid_argument(prefix_ + ": " + what);

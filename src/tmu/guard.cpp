@@ -133,7 +133,7 @@ void Guard<D>::complete(int idx) {
   }
   ++stats_.completed;
   remap_.release(e.tid);
-  ott_.dequeue(e.tid);
+  ott_.remove(idx);
 }
 
 template <Dir D>
@@ -175,11 +175,12 @@ void Guard<D>::observe(const axi::AxiReq& q, const axi::AxiRsp& s,
     }
   } else if (prev_addr_valid_ && pending_ >= 0) {
     // Valid dropped before ready: handshake violation. Abandon the
-    // entry: the manager withdrew the request.
+    // entry: the manager withdrew the request. It is the tail of its
+    // tID's FIFO; older same-ID transactions stay outstanding.
     LdEntry& e = ott_.at(pending_);
     flag(FaultKind::kHandshake, &e, kAddrPhase, cycle);
     remap_.release(e.tid);
-    ott_.dequeue(e.tid);
+    ott_.remove(pending_);
     pending_ = -1;
   }
 

@@ -108,14 +108,21 @@ class Ott {
 
   /// Removes the head of tid's FIFO (same-ID in-order completion).
   void dequeue(std::uint8_t tid) {
-    HtEntry& h = ht_[tid];
-    if (h.head < 0) return;
-    const int idx = h.head;
-    h.head = ld_[idx].next;
-    if (h.head < 0) h.tail = -1;
+    if (ht_[tid].head >= 0) remove(ht_[tid].head);
+  }
+
+  /// Removes LD entry `idx` wherever it sits in its tID's FIFO (a
+  /// withdrawn request is the tail, behind older same-ID entries).
+  void remove(int idx) {
+    LdEntry& e = ld_[idx];
+    HtEntry& h = ht_[e.tid];
+    int prev = -1;
+    for (int i = h.head; i != idx; i = ld_[i].next) prev = i;
+    (prev < 0 ? h.head : ld_[prev].next) = e.next;
+    if (h.tail == idx) h.tail = prev;
     --h.count;
-    ld_[idx].valid = false;
-    ld_[idx].next = -1;
+    e.valid = false;
+    e.next = -1;
     // Remove from EI order (normally the front for writes).
     for (auto it = ei_.begin(); it != ei_.end(); ++it) {
       if (*it == idx) {

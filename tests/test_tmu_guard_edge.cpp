@@ -428,6 +428,28 @@ TYPED_TEST(GuardHandshake, ValidDroppedBeforeReadyFlagsAndReleases) {
   EXPECT_EQ(this->guard_.remapper().active_ids(), 0u);
 }
 
+TYPED_TEST(GuardHandshake, WithdrawnRequestKeepsTheOlderSameIdEntry) {
+  // Accept id 1 at 0x100, then present id 1 at 0x200 and withdraw it.
+  bool& ready = TypeParam::kIsWrite ? this->s_.aw_ready : this->s_.ar_ready;
+  this->present(true, 0x100);
+  ready = true;
+  this->run(1);
+  ready = false;
+  this->present(true, 0x200);
+  this->run(2);
+  this->present(false, 0x200);
+  this->run(1);
+  EXPECT_EQ(this->count(tmu::FaultKind::kHandshake), 1u);
+  const tmu::Ott& ott = this->guard_.ott();
+  ASSERT_EQ(ott.occupancy(), 1u);
+  const int idx = ott.order().front();
+  const tmu::LdEntry& e = ott.at(idx);
+  EXPECT_EQ(e.addr, 0x100u);
+  EXPECT_TRUE(e.accepted);
+  EXPECT_EQ(ott.head_of(e.tid), idx);
+  EXPECT_EQ(this->guard_.remapper().active_ids(), 1u);
+}
+
 TYPED_TEST(GuardHandshake, UnrequestedResponseFlaggedOncePerAssertion) {
   this->respond(true, 5);
   this->run(4);
@@ -442,6 +464,65 @@ TYPED_TEST(GuardHandshake, UnrequestedResponseFlaggedOncePerAssertion) {
     EXPECT_EQ(f.is_write, TypeParam::kIsWrite);
     EXPECT_EQ(f.id, 5u);
   }
+}
+
+
+/// Presents AW id 1 at 0x100 until it is accepted, then AW id 1 at
+/// 0x200 for one cycle and withdraws it. Counts SLVERR B responses.
+class WithdrawingWriter : public sim::Module {
+ public:
+  explicit WithdrawingWriter(Link& link) : sim::Module("mgr"), link_(link) {}
+
+  void eval() override {
+    AxiReq q{};
+    q.b_ready = true;
+    if (stage_ < 2) {
+      q.aw_valid = true;
+      q.aw = AxFlit{1, stage_ == 0 ? Addr{0x100} : Addr{0x200}, 0, 3,
+                    Burst::kIncr};
+    }
+    link_.req.write(q);
+  }
+  void tick() override {
+    const AxiReq q = link_.req.read();
+    const AxiRsp s = link_.rsp.read();
+    if (stage_ == 1) stage_ = 2;
+    if (stage_ == 0 && aw_fire(q, s)) stage_ = 1;
+    if (b_fire(q, s) && s.b.id == 1 && s.b.resp == Resp::kSlvErr) ++slverr_b_;
+  }
+  void reset() override {
+    stage_ = 0;
+    slverr_b_ = 0;
+    link_.req.force(AxiReq{});
+  }
+
+  unsigned slverr_b() const { return slverr_b_; }
+
+ private:
+  Link& link_;
+  int stage_ = 0;
+  unsigned slverr_b_ = 0;
+};
+
+TEST(GuardEdge, SeverAbortsTheWriteAcceptedBeforeAWithdrawnSameIdRequest) {
+  Link l_mgr, l_mem;
+  MemoryConfig mem_cfg;
+  mem_cfg.aw_accept_latency = 2;  // the second AW is withdrawn unaccepted
+  WithdrawingWriter mgr(l_mgr);
+  tmu::Tmu monitor("tmu", l_mgr, l_mem, adaptive_cfg());
+  MemorySubordinate mem("mem", l_mem, mem_cfg);
+  sim::Simulator s;
+  s.add(mgr);
+  s.add(monitor);
+  s.add(mem);
+  s.reset();
+  ASSERT_TRUE(s.run_until([&] { return monitor.severed(); }, 50));
+  s.run(20);
+  ASSERT_EQ(monitor.fault_log().size(), 1u);
+  EXPECT_EQ(monitor.fault_log().front().kind, tmu::FaultKind::kHandshake);
+  // The accepted write at 0x100 is aborted; the withdrawn one never was
+  // accepted, so it gets no response.
+  EXPECT_EQ(mgr.slverr_b(), 1u);
 }
 
 }  // namespace
