@@ -74,7 +74,10 @@ void Bridge::eval() {
 }
 
 void Bridge::tick() {
-  if (transparent()) return;
+  if (transparent()) {
+    set_tick_idle(true);  // no registered state at all
+    return;
+  }
 
   const AxiReq uq = up_.req.read();
   const AxiRsp us = up_.rsp.read();
@@ -92,6 +95,7 @@ void Bridge::tick() {
     clear_inflight_ = false;
     ++cycle_;
     tick_evt_ = true;  // queues flushed: every output may drop
+    set_tick_idle(false);
     return;
   }
 
@@ -173,6 +177,8 @@ void Bridge::tick() {
   // until the bridge drains; a quiet, empty edge provably cannot.
   tick_evt_ = act || !aw_q_.empty() || !w_q_.empty() || !ar_q_.empty() ||
               !b_q_.empty() || !r_q_.empty();
+  // A quiet edge repeats with the same inputs: only cycle_ moves.
+  set_tick_idle(!tick_evt_);
 }
 
 void Bridge::reset() {

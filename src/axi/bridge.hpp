@@ -63,7 +63,20 @@ class Bridge : public sim::Module {
   /// admission); transparent, it forwards both directions.
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(up_.req);
-    if (transparent()) in.input(down_.rsp);
+    if (transparent()) {
+      in.input(down_.rsp);
+    } else {
+      in.tick_input(up_.req);
+      in.tick_input(up_.rsp);
+      in.tick_input(down_.req);
+      in.tick_input(down_.rsp);
+    }
+  }
+  /// Latched and drained, a tick only advances cycle_; transparent, it
+  /// does nothing.
+  void skip_ticks(std::uint64_t n) override {
+    if (!transparent()) cycle_ += n;
+    tick_evt_ = false;
   }
   void visit_state(sim::StateVisitor& v) override;
 

@@ -342,6 +342,14 @@ void Crossbar::visit_submodules(
 void Crossbar::visit_inputs(sim::InputVisitor& in) {
   for (Link* m : mgrs_) in.input(m->req);
   for (Link* s : subs_) in.input(s->rsp);
+  for (Link* l : mgrs_) {
+    in.tick_input(l->req);
+    in.tick_input(l->rsp);
+  }
+  for (Link* l : subs_) {
+    in.tick_input(l->req);
+    in.tick_input(l->rsp);
+  }
 }
 
 /// The seed's monolithic evaluation, retained verbatim in behaviour (on
@@ -614,6 +622,9 @@ void Crossbar::tick() {
     }
   }
   tick_evt_ = evt;
+  // Quiet manager ports and drained DECERR queues: no handshake can
+  // fire, and every per-shard flag is already clear.
+  set_tick_idle(!evt);
 }
 
 void Crossbar::reset() {

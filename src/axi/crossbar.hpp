@@ -78,9 +78,15 @@ class Crossbar : public sim::Module {
   void visit_submodules(
       const std::function<void(sim::Module&)>& visit) override;
   /// The monolithic eval's inputs: every manager request and every
-  /// subordinate response. The sharded facade is not combinational, so
-  /// the scheduler only asks its shards.
+  /// subordinate response (the sharded facade is not combinational, so
+  /// the scheduler only takes its shards' eval inputs), plus both
+  /// directions of every port that tick() samples.
   void visit_inputs(sim::InputVisitor& in) override;
+  /// An idle facade tick changes nothing at all.
+  void skip_ticks(std::uint64_t n) override {
+    (void)n;
+    tick_evt_ = false;
+  }
   /// Facade-owned registered state + the internal shard-coupling wires;
   /// the shards' own scratch (stale-wire bookkeeping) rides along via
   /// their visit_state in the netlist walk.

@@ -122,6 +122,7 @@ void MemorySubordinate::tick() {
     clear_inflight_ = false;
     ++cycle_;
     tick_evt_ = true;  // queues flushed: response outputs may drop
+    set_tick_idle(false);
     return;
   }
 
@@ -196,6 +197,8 @@ void MemorySubordinate::tick() {
               ar_fire(q, s) || r_fire(q, s) || q.aw_valid || q.ar_valid ||
               !write_q_.empty() || !b_q_.empty() || !read_q_.empty() ||
               w_rate_cnt_ != 0 || r_rate_cnt_ != 0;
+  // A quiet edge repeats with the same inputs: only cycle_ moves.
+  set_tick_idle(!tick_evt_);
 }
 
 void MemorySubordinate::reset() {

@@ -59,6 +59,14 @@ class MemorySubordinate : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.tick_input(link_.req);
+    in.tick_input(link_.rsp);
+  }
+  void skip_ticks(std::uint64_t n) override {
+    cycle_ += n;
+    tick_evt_ = false;
+  }
   void visit_state(sim::StateVisitor& v) override;
 
   /// Backdoor accessors for tests.

@@ -199,6 +199,15 @@ void TrafficGenerator::tick() {
               b_fire(q, s) || r_fire(q, s) || !aw_queue_.empty() ||
               !ar_queue_.empty() || !w_streams_.empty() ||
               b_ready_reg_ != b_ready0 || r_ready_reg_ != r_ready0;
+  // Idle: such a quiet edge repeats with these inputs unless a
+  // ready-delay counter is running or the random stream draws (below
+  // its outstanding cap it draws every cycle).
+  const bool draws = random_.enabled &&
+                     outstanding() + pending_to_issue() <
+                         random_.max_outstanding;
+  set_tick_idle(!tick_evt_ && !draws &&
+                (b_ready_delay_ == 0 || !s.b_valid || q.b_ready) &&
+                (r_ready_delay_ == 0 || !s.r_valid || q.r_ready));
 }
 
 void TrafficGenerator::reset() {

@@ -30,6 +30,7 @@ struct TxnDesc {
     visit(v, addr);
     visit(v, len);
     visit(v, size);
+    check_size(v, size);
     visit(v, burst);
   }
 };
@@ -75,6 +76,7 @@ struct RandomTrafficConfig {
     visit(v, len_min);
     visit(v, len_max);
     visit(v, size);
+    check_size(v, size);
   }
 };
 
@@ -152,6 +154,14 @@ class TrafficGenerator : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.tick_input(link_.req);
+    in.tick_input(link_.rsp);
+  }
+  void skip_ticks(std::uint64_t n) override {
+    cycle_ += n;
+    tick_evt_ = false;
+  }
   void visit_state(sim::StateVisitor& v) override;
 
  private:

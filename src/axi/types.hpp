@@ -19,6 +19,19 @@ using Data = std::uint64_t;
 /// AXI4 burst type (AWBURST / ARBURST encoding).
 enum class Burst : std::uint8_t { kFixed = 0, kIncr = 1, kWrap = 2 };
 
+/// Largest AxSIZE (3 bits): 128-byte beats.
+inline constexpr std::uint8_t kMaxSize = 7;
+
+/// Load-side check of a restored AxSIZE: beat arithmetic shifts by it,
+/// so a snapshot carrying a larger value fails the restore instead.
+template <typename V>
+void check_size(V& v, std::uint8_t size) {
+  if (!v.saving() && size > kMaxSize) {
+    v.fail("AXI size " + std::to_string(size) + " exceeds " +
+           std::to_string(kMaxSize));
+  }
+}
+
 /// AXI4 response code (BRESP / RRESP encoding).
 enum class Resp : std::uint8_t {
   kOkay = 0,
@@ -62,6 +75,7 @@ struct AxFlit {
     visit(v, addr);
     visit(v, len);
     visit(v, size);
+    check_size(v, size);
     visit(v, burst);
   }
 };

@@ -95,6 +95,8 @@ void FaultInjector::tick() {
     start_cycle_ = cycle_;
   }
   ++cycle_;
+  set_tick_idle(point_ == FaultPoint::kNone && !axi::w_fire(q, s) &&
+                !axi::r_fire(q, s));
 }
 
 void FaultInjector::reset() {

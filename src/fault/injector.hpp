@@ -116,7 +116,11 @@ class FaultInjector : public sim::Module {
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(up_.req);
     in.input(down_.rsp);
+    in.tick_input(down_.req);
+    in.tick_input(up_.rsp);
   }
+  /// Disarmed and beat-free, a tick only advances cycle_.
+  void skip_ticks(std::uint64_t n) override { cycle_ += n; }
 
   /// Disarmed, eval() is a pure wire pass-through, so wire wakeups cover
   /// it; armed, triggered() can flip as cycle/beat counters advance, so

@@ -24,10 +24,12 @@ class SimContext {
   /// Kernel-internal attachment point for the owning simulator's event
   /// scheduler: module notifications routed through notify_module() can
   /// then mark exactly the notifying module dirty instead of forcing a
-  /// full re-settle.
+  /// full re-settle, and notifications and wake_module() calls wake a
+  /// module that sleeps through clock edges.
   class DirtySink {
    public:
     virtual void on_module_notified(const Module& m) = 0;
+    virtual void on_module_woken(const Module& m) = 0;
 
    protected:
     ~DirtySink() = default;
@@ -42,6 +44,13 @@ class SimContext {
   void notify_module(const Module& m) {
     ++epoch_;
     if (sink_ != nullptr) sink_->on_module_notified(m);
+  }
+
+  /// Tick-gating wake from a bound module (Module::wake): catches the
+  /// module up and keeps it ticking. No epoch bump: eval state is
+  /// untouched.
+  void wake_module(const Module& m) {
+    if (sink_ != nullptr) sink_->on_module_woken(m);
   }
 
   /// Attaches / detaches the scheduler (nullptr to detach). The sink is

@@ -8,14 +8,20 @@
 namespace sim {
 
 void Simulator::reset() {
+  sched_.wake_all();  // before the cycle counter the sleepers count from
   detail::ActiveContextScope scope(*ctx_);  // attribute reset-path writes
   for (Module* m : modules_) m->reset();
   cycle_ = 0;
   settled_ = false;  // reset() mutates register state behind the epoch's back
-  settle();
+  settle_now();
 }
 
 void Simulator::settle() {
+  settle_now();
+  sched_.catch_up_all();
+}
+
+void Simulator::settle_now() {
   // Attribute every wire change during evaluation to this simulator's
   // context, so other live simulators keep their settled caches.
   detail::ActiveContextScope scope(*ctx_);
@@ -54,17 +60,21 @@ void Simulator::settle_full_sweep() {
   throw_full_sweep_divergence();
 }
 
+bool Simulator::needs_full_invalidation() const {
+  // Reset, late add(), invalidate_settle() or a policy switch: register
+  // state may have changed behind the wires' backs. Ambient writes can't
+  // name the wires they touched, and unattributed context bumps can't
+  // name a module.
+  return !settled_ || ambient_epoch() != settled_ambient_epoch_ ||
+         !sched_.epoch_accounted();
+}
+
 void Simulator::settle_event_driven() {
-  if (!settled_) {
-    // Clock edge, reset, late add(), invalidate_settle(), or a policy
-    // switch: register state may have changed behind the wires' backs,
-    // so every combinational module is dirty.
+  if (needs_full_invalidation()) {
+    // Conservatively re-evaluate every combinational module and wake
+    // every module sleeping through clock edges.
     sched_.mark_all_dirty();
-  } else if (ambient_epoch() != settled_ambient_epoch_ ||
-             !sched_.epoch_accounted()) {
-    // Ambient writes can't name the wires they touched, and unattributed
-    // context bumps can't name a module: conservatively wake everything.
-    sched_.mark_all_dirty();
+    sched_.wake_all();
   }
   // Anything else pending in the worklist arrived module-precise
   // (notify_state_change on a bound module), so a settle after e.g.
@@ -108,6 +118,9 @@ void Simulator::throw_full_sweep_divergence() {
 }
 
 void Simulator::visit_checkpoint(StateVisitor& v) {
+  // A restore overwrites every module's state, and sleep is not part of
+  // a snapshot: every module restarts awake.
+  if (!v.saving()) sched_.wake_all();
   std::uint32_t pol = static_cast<std::uint32_t>(policy_);
   v.u32(pol);
   if (!v.saving() && pol != static_cast<std::uint32_t>(policy_)) {
@@ -128,32 +141,51 @@ void Simulator::visit_checkpoint(StateVisitor& v) {
   }
 }
 
-void Simulator::step() {
-  settle();  // free when the previous step() left the netlist settled
-  // Callbacks run OUTSIDE the context scope: they are testbench code and
-  // may write wires other simulators read, so their writes must land on
-  // the ambient context (conservative cross-simulator invalidation), not
-  // be misattributed to this simulator.
-  for (auto& cb : cycle_callbacks_) cb(cycle_);
+void Simulator::advance() {
+  settle_now();  // free when the previous edge left the netlist settled
+  if (!cycle_callbacks_.empty()) {
+    sched_.catch_up_all();
+    // Callbacks run OUTSIDE the context scope: they are testbench code
+    // and may write wires other simulators read, so their writes must
+    // land on the ambient context (conservative cross-simulator
+    // invalidation), not be misattributed to this simulator.
+    for (auto& cb : cycle_callbacks_) cb(cycle_);
+    // What they touched must not be slept through at this edge.
+    if (needs_full_invalidation()) sched_.wake_all();
+  }
   if (policy_ == sched::SchedPolicy::kEventDriven) {
+    const auto n = static_cast<std::uint32_t>(modules_.size());
     {
       detail::ActiveContextScope scope(*ctx_);
       // Write trace: wires mutated at the edge (reset callbacks, forced
-      // flushes) wake their declared eval readers precisely.
+      // flushes) wake their declared eval readers precisely, and wake
+      // sleeping tick readers — later in registration order they still
+      // tick at this edge.
       detail::WireWriteTraceScope wtrace(sched_);
-      for (Module* m : modules_) m->tick();
-    }
-    // Precise post-edge invalidation: each module reports whether this
-    // edge touched eval-relevant register state (conservative default:
-    // yes). Modules that notify through bound setters during tick (e.g.
-    // the CPU stub writing TMU registers) are already enqueued.
-    for (std::uint32_t i = 0; i < modules_.size(); ++i) {
-      if (modules_[i]->tick_changed_eval_state()) sched_.mark_index_dirty(i);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (sched_.asleep(i)) continue;  // idle: only time would advance
+        Module* m = modules_[i];
+        sched_.begin_tick(i);
+        m->tick();
+        sched_.end_tick(i, m->tick_idle());
+      }
+      sched_.end_tick_phase();
     }
     ++cycle_;
+    // Precise post-edge invalidation: each module that ticked reports
+    // whether this edge touched eval-relevant register state
+    // (conservative default: yes); a sleeper's skipped tick reported no.
+    // Modules that notify through bound setters during tick (e.g. the
+    // CPU stub writing TMU registers) are already enqueued. Modules that
+    // reported idle sleep from here on.
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (sched_.asleep(i)) continue;
+      if (modules_[i]->tick_changed_eval_state()) sched_.mark_index_dirty(i);
+      sched_.settle_gate(i);
+    }
     // settled_ stays true: the worklist plus the scheduler's epoch
     // accounting carry the edge, so a fully quiet edge settles for free.
-    settle();
+    settle_now();
     return;
   }
   {
@@ -165,11 +197,17 @@ void Simulator::step() {
   // Post-edge settle so callers observing wires after step() (tests,
   // probes) see outputs consistent with the new register state. This is
   // the single full eval convergence for the cycle.
-  settle();
+  settle_now();
+}
+
+void Simulator::step() {
+  advance();
+  sched_.catch_up_all();
 }
 
 void Simulator::run(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) step();
+  for (std::uint64_t i = 0; i < n; ++i) advance();
+  sched_.catch_up_all();
 }
 
 bool Simulator::run_until(const std::function<bool()>& pred,
@@ -177,7 +215,7 @@ bool Simulator::run_until(const std::function<bool()>& pred,
   for (std::uint64_t i = 0; i < max_cycles; ++i) {
     settle();
     if (pred()) return true;
-    step();
+    advance();
   }
   settle();
   return pred();

@@ -43,6 +43,17 @@ std::string divergence_message(const std::vector<const Module*>& dirty);
 ///    wire changes (the original kernel), kept for lockstep
 ///    cross-checking and bring-up of exotic netlists.
 ///
+/// Clock edges follow the same split. The full sweep ticks every module
+/// every cycle. The event-driven policy gates tick() on activity: a
+/// module whose tick reported idle (Module::set_tick_idle) sleeps, and
+/// the edge skips both its tick() and its post-edge query until a
+/// declared tick input changes, it is notified or woken, or the kernel
+/// invalidates everything. Skipped ticks are fast-forwarded
+/// (Module::skip_ticks) before the module ticks or evaluates again,
+/// before on_cycle callbacks and run_until predicates, and before any
+/// public call returns, so nothing outside the kernel sees a lagging
+/// module.
+///
 /// The kernel caches the settled state: settle() on a netlist that has
 /// already converged — and whose wires are untouched since, tracked via
 /// this simulator's own change-epoch context plus the thread-ambient
@@ -94,11 +105,13 @@ class Simulator {
   }
 
   /// Switches the settle scheduling policy. Safe at any point between
-  /// cycles; the next settle() conservatively re-evaluates everything.
+  /// cycles; the next settle() conservatively re-evaluates everything,
+  /// and every sleeping module wakes.
   void set_policy(sched::SchedPolicy p) {
     if (p != policy_) {
       policy_ = p;
       settled_ = false;
+      sched_.wake_all();
     }
   }
   sched::SchedPolicy policy() const { return policy_; }
@@ -136,9 +149,10 @@ class Simulator {
   /// wakeups, drains).
   const sched::SchedStats& sched_stats() const { return sched_.stats(); }
 
-  /// Per-module scheduler profile (eval counts, wake causes,
-  /// dirty-depth histogram). Event-driven mode only; empty counters
-  /// under kFullSweep.
+  /// Per-module scheduler profile (eval counts, wake causes, whether
+  /// the module sleeps through clock edges now, dirty-depth histogram).
+  /// Event-driven mode only; empty counters and nothing asleep under
+  /// kFullSweep.
   sched::SchedProfile sched_profile() const { return sched_.profile(); }
 
   /// Toggles the per-module profiler (default on). Off measures the
@@ -171,6 +185,12 @@ class Simulator {
   void visit_checkpoint(StateVisitor& v);
 
  private:
+  /// One clock cycle without the final catch-up: settle, callbacks, the
+  /// (gated) tick phase, the post-edge settle.
+  void advance();
+  /// settle() without the catch-up.
+  void settle_now();
+  bool needs_full_invalidation() const;
   void settle_full_sweep();
   void settle_event_driven();
   [[noreturn]] void throw_full_sweep_divergence();
@@ -178,11 +198,12 @@ class Simulator {
   std::vector<Module*> modules_;  ///< index = scheduler index
   std::vector<std::function<void(std::uint64_t)>> cycle_callbacks_;
   std::shared_ptr<SimContext> ctx_ = std::make_shared<SimContext>();
-  // Declared after ctx_: destroyed first, so its dirty-sink detach in
-  // ~EventScheduler always sees a live context.
-  sched::EventScheduler sched_{*ctx_};
-  sched::SchedPolicy policy_;
   std::uint64_t cycle_ = 0;
+  // Declared after ctx_: destroyed first, so its dirty-sink detach in
+  // ~EventScheduler always sees a live context. Counts sleepers' skipped
+  // ticks against cycle_.
+  sched::EventScheduler sched_{*ctx_, cycle_};
+  sched::SchedPolicy policy_;
   std::uint64_t eval_passes_ = 0;
   std::uint64_t module_evals_ = 0;
   std::uint64_t settled_epoch_ = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,10 +56,16 @@ class Module {
   /// wire only costs an eval when it changes. A missing wire is a missed
   /// wake: the module keeps a stale output until something else wakes
   /// it, which the event-vs-full-sweep lockstep gates report as a
-  /// divergence. Called once, when Simulator::add() registers a
-  /// combinational module. Modules whose eval() reads no wire (reads
-  /// only in tick(), or drives outputs from registers alone) keep the
-  /// empty default.
+  /// divergence. Modules whose eval() reads no wire (reads only in
+  /// tick(), or drives outputs from registers alone) declare none.
+  ///
+  /// Modules that opt into tick gating (set_tick_idle) also call
+  /// `in.tick_input(w)` for every wire tick() may read, on any path: a
+  /// value change on one wakes the sleeping module. The same superset
+  /// rule applies — an extra wire costs a wake, a missing one lets the
+  /// module sleep through an input change. Called once, when
+  /// Simulator::add() registers the module; `input()` declarations of a
+  /// non-combinational module are ignored.
   virtual void visit_inputs(InputVisitor& in) { (void)in; }
 
   /// Queried by the event-driven scheduler right after every tick():
@@ -72,6 +79,20 @@ class Module {
   /// traced separately and wake reader modules regardless of this
   /// report, so the contract covers non-wire register state only.
   virtual bool tick_changed_eval_state() const { return true; }
+
+  /// Tick-gating catch-up: fast-forwards `n` (>= 1) skipped ticks in
+  /// O(1). The kernel calls it on a sleeping module (see set_tick_idle)
+  /// before anything can observe the skipped cycles: before the module's
+  /// next tick() or eval(), before on_cycle callbacks and run_until
+  /// predicates, and before a Simulator call returns. It must leave
+  /// exactly the state that `n` idle ticks with unchanged inputs leave —
+  /// advance the free-running counters and clear any "last tick changed
+  /// eval state" flag — and must not write wires or notify. Only modules
+  /// that report idle are ever called.
+  virtual void skip_ticks(std::uint64_t n) { (void)n; }
+
+  /// The idle report of the last tick() (set_tick_idle).
+  bool tick_idle() const { return tick_idle_; }
 
   /// State-serde hook (sim/state.hpp): list every register, queue and
   /// counter that survives a cycle boundary, once, in a fixed order —
@@ -100,7 +121,8 @@ class Module {
   /// — e.g. a testbench calling arm()/set_*() between cycles. Bumps the
   /// bound simulator's epoch so exactly that simulator's settled-state
   /// cache misses — and, under an event-driven scheduler, marks exactly
-  /// this module dirty so the next settle re-evaluates only its cone.
+  /// this module dirty so the next settle re-evaluates only its cone,
+  /// and wakes it if it sleeps through clock edges (set_tick_idle).
   /// Falls back to the ambient context (invalidating every simulator on
   /// the thread) when unbound. Wire writes are tracked automatically;
   /// this is only for state the wires can't see.
@@ -112,9 +134,35 @@ class Module {
     }
   }
 
+  /// Tick gating (event-driven policy only; the full sweep ticks every
+  /// module every cycle). tick() calls this with true when its NEXT tick
+  /// would change nothing but free-running time — a private cycle
+  /// counter, a prescaler phase — given unchanged tick inputs and no
+  /// notification, and would report no eval-relevant change
+  /// (tick_changed_eval_state() false). The kernel then skips the
+  /// module's tick() and post-edge query until a declared tick input
+  /// (visit_inputs) changes value, the module is notified or woken, or
+  /// the kernel invalidates everything (reset, restore, policy switch,
+  /// ambient testbench write, invalidate_settle()). On wake it first
+  /// calls skip_ticks() with the number of ticks skipped. A module that
+  /// sets the report must set it on every tick() path; modules that
+  /// never set it tick every cycle.
+  void set_tick_idle(bool idle) { tick_idle_ = idle; }
+
+  /// Wakes this module if it sleeps, after catching up its skipped ticks
+  /// (no epoch bump, no eval). Mutators call it first when they change
+  /// state the catch-up depends on, or read free-running time, and may
+  /// be called from another module's tick() while this one sleeps —
+  /// notify_state_change() also wakes, but only after the mutation.
+  /// Between Simulator calls every sleeper is already caught up.
+  void wake() {
+    if (auto ctx = ctx_.lock()) ctx->wake_module(*this);
+  }
+
  private:
   std::string name_;
   std::weak_ptr<SimContext> ctx_;
+  bool tick_idle_ = false;
 };
 
 }  // namespace sim

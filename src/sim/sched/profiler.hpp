@@ -27,6 +27,9 @@ struct ModuleProfile {
   std::uint64_t tick_wakeups = 0;
   std::uint64_t notify_wakeups = 0;
   std::uint64_t full_wakeups = 0;
+  /// Sleeping through clock edges right now (tick gating, event-driven
+  /// mode). Derived from the scheduler, never serialized.
+  bool asleep = false;
 
   std::uint64_t wakeups() const {
     return wire_wakeups + tick_wakeups + notify_wakeups + full_wakeups;

@@ -28,21 +28,28 @@ std::uint64_t next_tag() {
 
 }  // namespace
 
-/// Collects one module's declared inputs into fan-out edges.
+/// Collects one module's declared inputs into fan-out edges. Eval
+/// declarations of a tick-only module are dropped: it never evaluates.
 class EventScheduler::FanoutBuilder final : public InputVisitor {
  public:
-  FanoutBuilder(EventScheduler& s, std::uint32_t reader)
-      : s_(s), reader_(reader) {}
+  FanoutBuilder(EventScheduler& s, std::uint32_t reader, bool combinational)
+      : s_(s), reader_(reader), combinational_(combinational) {}
 
  private:
-  void on_input(std::uint64_t& slot) override { s_.add_edge(slot, reader_); }
+  void on_input(std::uint64_t& slot) override {
+    if (combinational_) s_.add_edge(slot, reader_);
+  }
+  void on_tick_input(std::uint64_t& slot) override {
+    s_.add_tick_edge(slot, reader_);
+  }
 
   EventScheduler& s_;
   std::uint32_t reader_;
+  bool combinational_;
 };
 
-EventScheduler::EventScheduler(SimContext& ctx)
-    : ctx_(ctx), tag_(next_tag()) {
+EventScheduler::EventScheduler(SimContext& ctx, const std::uint64_t& cycle)
+    : ctx_(ctx), tag_(next_tag()), cycle_(cycle) {
   ctx_.attach_dirty_sink(this);
 }
 
@@ -59,12 +66,12 @@ bool EventScheduler::register_module(Module& m) {
   prof_tick_wakes_.push_back(0);
   prof_notify_wakes_.push_back(0);
   prof_full_wakes_.push_back(0);
-  if (combinational_[idx] != 0) {
-    // Tick-only modules never evaluate, so they need no wakes.
-    FanoutBuilder edges(*this, idx);
-    m.visit_inputs(edges);
-    enqueue(idx, WakeCause::kFull);
-  }
+  gate_.push_back(kAwake);
+  slept_at_.push_back(0);
+  FanoutBuilder edges(*this, idx, combinational_[idx] != 0);
+  m.visit_inputs(edges);
+  // Tick-only modules never evaluate, so they need no eval wakes.
+  if (combinational_[idx] != 0) enqueue(idx, WakeCause::kFull);
   return true;
 }
 
@@ -73,21 +80,32 @@ bool EventScheduler::owns(std::uint64_t slot) const {
          static_cast<std::uint32_t>(slot) < fanout_.size();
 }
 
-void EventScheduler::add_edge(std::uint64_t& slot, std::uint32_t reader) {
-  auto w = static_cast<std::uint32_t>(slot);
+EventScheduler::Fanout& EventScheduler::fanout_of(std::uint64_t& slot) {
   if (!owns(slot)) {
     // First declaration here (a slot tagged by another scheduler means
     // the wire moved simulators: wire-disjointness makes that a handoff).
-    w = static_cast<std::uint32_t>(fanout_.size());
-    slot = (tag_ << 32) | w;
+    slot = (tag_ << 32) | fanout_.size();
     fanout_.emplace_back();
-    stats_.wires = fanout_.size();
   }
-  // A module's declarations arrive together, so a repeat is at the back.
-  std::vector<std::uint32_t>& readers = fanout_[w];
+  return fanout_[static_cast<std::uint32_t>(slot)];
+}
+
+// A module's declarations arrive together, so a repeat is the wire's
+// latest edge.
+void EventScheduler::add_edge(std::uint64_t& slot, std::uint32_t reader) {
+  std::vector<std::uint32_t>& readers = fanout_of(slot).eval;
+  if (readers.empty()) ++stats_.wires;
   if (readers.empty() || readers.back() != reader) {
     readers.push_back(reader);
     ++stats_.edges;
+  }
+}
+
+void EventScheduler::add_tick_edge(std::uint64_t& slot, std::uint32_t reader) {
+  std::uint32_t& head = fanout_of(slot).tick_head;
+  if (head == kNoEdge || tick_edges_[head].reader != reader) {
+    tick_edges_.push_back(TickEdge{reader, head});
+    head = static_cast<std::uint32_t>(tick_edges_.size() - 1);
   }
 }
 
@@ -118,7 +136,8 @@ void EventScheduler::on_wire_write(std::uint64_t& slot) {
   ++stats_.wire_writes;
   // Another scheduler's (or no) tag: no reader declared this wire here.
   if (!owns(slot)) return;
-  for (const std::uint32_t reader : fanout_[static_cast<std::uint32_t>(slot)]) {
+  const Fanout& f = fanout_[static_cast<std::uint32_t>(slot)];
+  for (const std::uint32_t reader : f.eval) {
     if (dirty_[reader] == 0) {
       dirty_[reader] = 1;
       queue_.push_back(reader);
@@ -126,17 +145,62 @@ void EventScheduler::on_wire_write(std::uint64_t& slot) {
       if (profiling_) ++prof_wire_wakes_[reader];
     }
   }
+  for (std::uint32_t e = f.tick_head; e != kNoEdge; e = tick_edges_[e].next) {
+    const std::uint32_t reader = tick_edges_[e].reader;
+    if (gate_[reader] != kAwake) wake(reader);
+  }
 }
 
 void EventScheduler::on_module_notified(const Module& m) {
   absorb_attributed_bump();
   const auto it = index_of_.find(&m);
-  if (it != index_of_.end() && combinational_[it->second] != 0) {
-    enqueue(it->second, WakeCause::kNotify);
+  if (it != index_of_.end()) {
+    if (combinational_[it->second] != 0) {
+      enqueue(it->second, WakeCause::kNotify);
+    }
+    wake(it->second);
   }
   // An unregistered (or tick-only) module's notification leaves the
   // epoch gap unabsorbed only if the bump wasn't contiguous; for
   // registered modules the enqueue is the precise invalidation.
+}
+
+void EventScheduler::on_module_woken(const Module& m) {
+  const auto it = index_of_.find(&m);
+  if (it != index_of_.end()) wake(it->second);
+}
+
+void EventScheduler::catch_up(std::uint32_t idx) {
+  // Edges every module below the tick cursor has been passed at, this
+  // cycle's included.
+  const std::uint64_t due = cycle_ + (idx < cursor_ ? 1 : 0);
+  if (due > slept_at_[idx]) {
+    const std::uint64_t n = due - slept_at_[idx];
+    slept_at_[idx] = due;
+    modules_[idx]->skip_ticks(n);
+  }
+}
+
+void EventScheduler::wake(std::uint32_t idx) {
+  if (gate_[idx] == kAsleep) {
+    catch_up(idx);
+    --asleep_count_;
+  }
+  gate_[idx] = kAwake;
+}
+
+void EventScheduler::catch_up_all() {
+  if (asleep_count_ == 0) return;
+  for (std::uint32_t i = 0; i < modules_.size(); ++i) {
+    if (gate_[i] == kAsleep) catch_up(i);
+  }
+}
+
+void EventScheduler::wake_all() {
+  if (asleep_count_ == 0) return;
+  for (std::uint32_t i = 0; i < modules_.size(); ++i) {
+    if (gate_[i] == kAsleep) wake(i);
+  }
 }
 
 void EventScheduler::absorb_attributed_bump() {
@@ -162,6 +226,7 @@ std::size_t EventScheduler::drain(int max_delta_iterations) {
     // Clear before eval: a module writing a wire it reads legitimately
     // re-enqueues itself (a delta iteration).
     dirty_[m] = 0;
+    if (gate_[m] == kAsleep) catch_up(m);  // eval sees current registers
     modules_[m]->eval();
     if (profiling_) ++prof_evals_[m];
     ++evals;
@@ -184,6 +249,7 @@ SchedProfile EventScheduler::profile() const {
     mp.tick_wakeups = prof_tick_wakes_[i];
     mp.notify_wakeups = prof_notify_wakes_[i];
     mp.full_wakeups = prof_full_wakes_[i];
+    mp.asleep = gate_[i] == kAsleep;
     p.modules.push_back(std::move(mp));
   }
   p.dirty_depth = depth_hist_;

@@ -32,15 +32,16 @@ inline const char* to_string(SchedPolicy p) {
   return p == SchedPolicy::kFullSweep ? "full_sweep" : "event_driven";
 }
 
-/// Scheduler observability counters (event-driven mode).
+/// Scheduler observability counters (event-driven mode). Eval side
+/// only: tick-input declarations and tick wakes are not counted.
 struct SchedStats {
   std::uint64_t module_evals = 0;        ///< eval() calls run by drains
   std::uint64_t drains = 0;              ///< drains that evaluated >=1 module
   std::uint64_t wire_writes = 0;         ///< value-changing writes observed
   std::uint64_t wakeups = 0;             ///< modules enqueued by wire writes
   std::uint64_t full_invalidations = 0;  ///< mark_all_dirty() calls
-  std::size_t wires = 0;                 ///< wires with >=1 declared reader
-  std::size_t edges = 0;                 ///< declared wire→module edges
+  std::size_t wires = 0;                 ///< wires with >=1 declared eval reader
+  std::size_t edges = 0;                 ///< declared wire→eval-reader edges
 };
 
 /// Event-driven settle scheduler for one Simulator.
@@ -61,20 +62,33 @@ struct SchedStats {
 /// the context directly — leaves a gap, and the kernel falls back to
 /// mark_all_dirty() on the next settle. Correctness therefore never
 /// depends on attribution; precision does.
+///
+/// Tick gating: a module whose tick() reports idle (Module::set_tick_idle)
+/// sleeps from the next edge on — the kernel skips its tick() and its
+/// post-edge query. Its declared tick inputs form a second fan-out beside
+/// the eval one; a value change on one, a notification, Module::wake() or
+/// wake_all() wakes it, after catch_up() fast-forwarded the skipped ticks
+/// (Module::skip_ticks). Skipped ticks are counted against the kernel's
+/// cycle counter and the tick loop's cursor, so a module woken during the
+/// tick phase by a module later in registration order is credited with
+/// the idle tick it missed this cycle, and one woken by an earlier module
+/// still ticks this cycle. Nothing about sleep is serialized.
 class EventScheduler final : public detail::WireTrace,
                              public SimContext::DirtySink {
  public:
-  explicit EventScheduler(SimContext& ctx);
+  /// `cycle` is the owning kernel's cycle counter: the number of edges
+  /// every awake module has ticked outside the tick phase.
+  EventScheduler(SimContext& ctx, const std::uint64_t& cycle);
   ~EventScheduler();
 
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
 
-  /// Registers a module, builds the fan-out edges of its declared inputs
-  /// and marks it dirty. Returns false (and does nothing) when `m` is
-  /// already registered here. Registration order is the drain's
-  /// tie-break order, mirroring the full sweep; a module's index is its
-  /// registration position.
+  /// Registers a module, builds the eval and tick fan-out edges of its
+  /// declared inputs in one visit, and marks it dirty. Returns false (and
+  /// does nothing) when `m` is already registered here. Registration
+  /// order is the drain's tie-break order, mirroring the full sweep; a
+  /// module's index is its registration position.
   bool register_module(Module& m);
 
   /// Enqueues every combinational module (resets, external writes,
@@ -103,6 +117,35 @@ class EventScheduler final : public detail::WireTrace,
 
   const SchedStats& stats() const { return stats_; }
 
+  // ---- Tick gating (the kernel's event-driven tick loop) ----
+
+  bool asleep(std::uint32_t idx) const { return gate_[idx] == kAsleep; }
+  /// Brackets one awake module's tick(): a module reporting idle dozes
+  /// (falls asleep at settle_gate), unless woken during its own tick.
+  void begin_tick(std::uint32_t idx) {
+    cursor_ = idx;
+    gate_[idx] = kDrowsy;
+  }
+  void end_tick(std::uint32_t idx, bool idle) {
+    if (!idle) gate_[idx] = kAwake;
+  }
+  void end_tick_phase() { cursor_ = 0; }
+  /// Post-edge, after the kernel advanced its cycle: a dozing module
+  /// sleeps from this cycle on.
+  void settle_gate(std::uint32_t idx) {
+    if (gate_[idx] == kDrowsy) {
+      gate_[idx] = kAsleep;
+      slept_at_[idx] = cycle_;
+      ++asleep_count_;
+    }
+  }
+  /// Brings every sleeper's skipped ticks up to date; they stay asleep.
+  void catch_up_all();
+  /// Catches up and wakes every sleeper (the kernel's invalidate-all
+  /// paths: reset, restore, policy switch, ambient writes, unattributed
+  /// epoch bumps, invalidate_settle()).
+  void wake_all();
+
   /// Per-module profiling (default on): eval counts, wake causes and
   /// dirty-set depth. One array index per enqueue — cheap enough to
   /// leave on; turn off to measure the floor.
@@ -128,11 +171,18 @@ class EventScheduler final : public detail::WireTrace,
 
   void on_wire_write(std::uint64_t& slot) override;
   void on_module_notified(const Module& m) override;
+  void on_module_woken(const Module& m) override;
 
   /// Whether `slot` names a wire in this scheduler's fan-out table.
   bool owns(std::uint64_t slot) const;
+  /// The wire's fan-out entry, created on its first declaration here.
+  struct Fanout;
+  Fanout& fanout_of(std::uint64_t& slot);
   void add_edge(std::uint64_t& slot, std::uint32_t reader);
+  void add_tick_edge(std::uint64_t& slot, std::uint32_t reader);
   void enqueue(std::uint32_t idx, WakeCause cause);
+  void catch_up(std::uint32_t idx);
+  void wake(std::uint32_t idx);
   void absorb_attributed_bump();
   [[noreturn]] void throw_divergence();
 
@@ -143,7 +193,20 @@ class EventScheduler final : public detail::WireTrace,
   std::unordered_map<const Module*, std::uint32_t> index_of_;
   std::vector<char> combinational_;
 
-  std::vector<std::vector<std::uint32_t>> fanout_;  ///< [wire] → readers
+  /// Declared readers of one wire: eval readers, in registration order,
+  /// are enqueued on a change; tick readers (a list in tick_edges_,
+  /// newest first — wake order is immaterial) are woken.
+  static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+  struct Fanout {
+    std::vector<std::uint32_t> eval;
+    std::uint32_t tick_head = kNoEdge;
+  };
+  struct TickEdge {
+    std::uint32_t reader;
+    std::uint32_t next;
+  };
+  std::vector<Fanout> fanout_;  ///< [wire id]
+  std::vector<TickEdge> tick_edges_;
 
   std::vector<char> dirty_;
   std::vector<std::uint32_t> queue_;  ///< FIFO worklist
@@ -151,6 +214,18 @@ class EventScheduler final : public detail::WireTrace,
 
   std::uint64_t accounted_epoch_ = 0;
   SchedStats stats_;
+
+  // Tick gating. A module is awake, drowsy (reported idle this tick
+  // phase; asleep from the post-edge query loop on) or asleep since
+  // slept_at_ (the first edge it skipped). cursor_ is the module ticking
+  // now during the tick phase, 0 otherwise: a sleeper below it has been
+  // passed this edge.
+  enum Gate : char { kAwake, kDrowsy, kAsleep };
+  const std::uint64_t& cycle_;
+  std::vector<char> gate_;
+  std::vector<std::uint64_t> slept_at_;
+  std::uint32_t cursor_ = 0;
+  std::uint32_t asleep_count_ = 0;
 
   // Profiler state: one slot per module, registration order. An enqueue
   // attributes its cause to the woken module; evals are attributed in

@@ -23,7 +23,8 @@ class InputVisitor;
 /// Scheduling identity: an event-driven scheduler tags the wire's slot
 /// `sched_slot_` when a registered module declares it as an input
 /// (Module::visit_inputs), and a value-changing write under that
-/// scheduler wakes the declared readers. A read is a plain load. Wires
+/// scheduler wakes the declared readers: eval readers are re-evaluated,
+/// sleeping tick readers tick again. A read is a plain load. Wires
 /// are non-copyable so the slot can never be duplicated.
 template <typename T>
 class Wire {
@@ -75,14 +76,20 @@ class Wire {
 };
 
 /// The sensitivity declaration a module makes in Module::visit_inputs():
-/// `in.input(w)` for every wire its eval() may read. The event-driven
-/// scheduler builds each wire's reader fan-out from these declarations
-/// once, when the module is added, in registration order.
+/// `in.input(w)` for every wire its eval() may read, and
+/// `in.tick_input(w)` for every wire its tick() may read when the module
+/// opts into tick gating. The event-driven scheduler builds each wire's
+/// eval and tick fan-outs from these declarations once, when the module
+/// is added, in registration order.
 class InputVisitor {
  public:
   template <typename T>
   void input(Wire<T>& w) {
     on_input(w.sched_slot_);
+  }
+  template <typename T>
+  void tick_input(Wire<T>& w) {
+    on_tick_input(w.sched_slot_);
   }
 
  protected:
@@ -90,6 +97,7 @@ class InputVisitor {
 
   /// The declared wire's scheduling slot (sim/sched/trace.hpp encoding).
   virtual void on_input(std::uint64_t& slot) = 0;
+  virtual void on_tick_input(std::uint64_t& slot) = 0;
 };
 
 }  // namespace sim

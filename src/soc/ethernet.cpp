@@ -85,6 +85,7 @@ void EthernetPeripheral::tick() {
     ++hw_resets_;
     ++cycle_;
     tick_evt_ = true;  // FIFOs/queues flushed: outputs may drop
+    set_tick_idle(false);
     return;
   }
 
@@ -145,6 +146,8 @@ void EthernetPeripheral::tick() {
               axi::ar_fire(q, s) || axi::r_fire(q, s) || q.aw_valid ||
               q.w_valid || q.ar_valid || !write_q_.empty() ||
               !b_q_.empty() || !read_q_.empty() || !tx_fifo_.empty();
+  // A quiet edge repeats with the same inputs: only cycle_ moves.
+  set_tick_idle(!tick_evt_);
 }
 
 void EthernetPeripheral::reset() {

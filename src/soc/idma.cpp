@@ -116,6 +116,8 @@ void IdmaEngine::tick() {
   // descriptor queue can move the engine's request outputs.
   tick_evt_ = s0 != State::kIdle || state_ != State::kIdle ||
               !queue_.empty();
+  // An idle engine with no descriptor stays idle until submit().
+  set_tick_idle(!tick_evt_);
 }
 
 void IdmaEngine::reset() {

@@ -54,6 +54,14 @@ class IdmaEngine : public sim::Module {
   void tick() override;
   void reset() override;
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override {
+    in.tick_input(link_.req);
+    in.tick_input(link_.rsp);
+  }
+  void skip_ticks(std::uint64_t n) override {
+    (void)n;
+    tick_evt_ = false;
+  }
 
   /// State serde (sim/state.hpp): descriptor queue, chunk FSM, buffer.
   void visit_state(sim::StateVisitor& v) override;

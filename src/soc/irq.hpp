@@ -32,6 +32,12 @@ class IrqController : public sim::Module {
     for (std::size_t i = 0; i < sources_.size(); ++i) {
       if (sources_[i]->read() && !claimed_[i]) pending_[i] = true;
     }
+    // Every unclaimed high source is latched now: the next tick repeats
+    // this one until a source toggles or complete() releases a claim.
+    set_tick_idle(true);
+  }
+  void visit_inputs(sim::InputVisitor& in) override {
+    for (sim::Wire<bool>* w : sources_) in.tick_input(*w);
   }
 
   void reset() override {
@@ -58,7 +64,10 @@ class IrqController : public sim::Module {
     return -1;
   }
 
-  void complete(std::size_t id) { claimed_[id] = false; }
+  void complete(std::size_t id) {
+    wake();  // a still-high source latches again at the next edge
+    claimed_[id] = false;
+  }
 
   /// State serde (sim/state.hpp). The source list is wiring, not state.
   void visit_state(sim::StateVisitor& v) override {

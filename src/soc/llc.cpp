@@ -191,6 +191,8 @@ void LastLevelCache::tick() {
   tick_evt_ = !hit_q_.empty() || !miss_q_.empty() || !open_writes_.empty() ||
               uq.aw_valid || uq.w_valid || uq.ar_valid || us.b_valid ||
               us.r_valid || ds.b_valid || ds.r_valid;
+  // A quiet edge repeats with the same inputs: only cycle_ moves.
+  set_tick_idle(!tick_evt_);
 }
 
 void LastLevelCache::reset() {

@@ -48,6 +48,14 @@ class LastLevelCache : public sim::Module {
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(up_.req);
     in.input(down_.rsp);
+    in.tick_input(up_.req);
+    in.tick_input(up_.rsp);
+    in.tick_input(down_.req);
+    in.tick_input(down_.rsp);
+  }
+  void skip_ticks(std::uint64_t n) override {
+    cycle_ += n;
+    tick_evt_ = false;
   }
 
   /// State serde (sim/state.hpp): tag/data arrays plus in-flight queues.

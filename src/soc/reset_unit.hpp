@@ -45,9 +45,17 @@ class ResetUnit : public sim::Module {
         break;
     }
     tick_evt_ = state_ != s0;  // eval() is a pure function of state_
+    // Idle or acknowledging with the request unchanged: nothing moves
+    // until the request toggles.
+    set_tick_idle(!tick_evt_ && state_ != State::kResetting);
   }
 
   bool tick_changed_eval_state() const override { return tick_evt_; }
+  void visit_inputs(sim::InputVisitor& in) override { in.tick_input(req_); }
+  void skip_ticks(std::uint64_t n) override {
+    (void)n;
+    tick_evt_ = false;
+  }
 
   void reset() override {
     state_ = State::kIdle;

@@ -20,6 +20,16 @@ class Prescaler {
     return false;
   }
 
+  /// Exactly n tick()s, pulses discarded (an idle guard's catch-up).
+  void advance(std::uint64_t n) {
+    if (n == 0) return;
+    if (count_ >= step_) {  // a step lowered below the phase: wraps first
+      count_ = 0;
+      --n;
+    }
+    count_ = static_cast<std::uint32_t>((count_ + n) % step_);
+  }
+
   void reset() { count_ = 0; }
   std::uint32_t step() const { return step_; }
   void set_step(std::uint32_t step) { step_ = step ? step : 1; }

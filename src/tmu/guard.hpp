@@ -103,6 +103,10 @@ class Guard {
   /// Clears all tracking state (after a recovery reset).
   void clear();
 
+  /// Fast-forwards n observe() calls that saw a quiet link with nothing
+  /// outstanding: only the prescaler phase moves.
+  void skip_idle_cycles(std::uint64_t n) { prescaler_.advance(n); }
+
   const GuardStats& stats() const { return stats_; }
   const std::vector<TxnPerfRecord>& perf_log() const { return perf_log_; }
   std::uint64_t perf_log_dropped() const { return perf_dropped_; }
@@ -125,6 +129,9 @@ class Guard {
     visit(v, stats_);
     visit(v, perf_log_);
     visit(v, perf_dropped_);
+    if (!v.saving()) {
+      if (const char* why = state_error()) v.fail(why);
+    }
   }
 
  private:
@@ -142,6 +149,23 @@ class Guard {
   void flag(FaultKind kind, const LdEntry* e, Phase phase,
             std::uint64_t cycle, axi::Id id_hint = 0);
   void pulse_counters(std::uint64_t cycle);
+  /// Why restored state would index the OTT or a per-phase array out of
+  /// range, or nullptr: the presented entry must be live, and every live
+  /// entry in one of this direction's phases (an entry reaching kDone
+  /// completes in the same edge).
+  const char* state_error() const {
+    if (pending_ != -1 && (pending_ < 0 ||
+                           pending_ >= static_cast<int>(ott_.capacity()) ||
+                           !ott_.at(pending_).valid)) {
+      return "guard's presented entry is not a live OTT entry";
+    }
+    for (const int idx : ott_.order()) {
+      if (ott_.at(idx).phase >= kNumPhases) {
+        return "OTT entry phase out of range";
+      }
+    }
+    return nullptr;
+  }
 
   const TmuConfig* cfg_;
   IdRemapper remap_;

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "axi/types.hpp"
@@ -159,7 +160,9 @@ class Ott {
   }
 
   /// State serde: every table including the free stack (free-list order
-  /// determines future LD index assignment, so it is behavior).
+  /// determines future LD index assignment, so it is behavior). Load
+  /// rejects tables whose links the OTT operations would follow out of
+  /// range or forever (see link_error()).
   template <typename V>
   void visit_fields(V& v) {
     std::uint64_t n = ld_.size();
@@ -172,9 +175,60 @@ class Ott {
     for (auto& h : ht_) visit(v, h);
     visit(v, ei_);
     visit(v, free_);
+    if (!v.saving()) {
+      if (const char* why = link_error()) v.fail(std::string("OTT ") + why);
+    }
   }
 
  private:
+  /// Why the tables are not a well-formed OTT, or nullptr. Well formed:
+  /// each tID's FIFO runs acyclically from head to tail through `count`
+  /// valid entries of that tID, every valid entry sits in exactly one
+  /// FIFO, and the EI order (the valid entries) and the free list (the
+  /// rest) partition the table.
+  const char* link_error() const {
+    const int n = static_cast<int>(ld_.size());
+    std::vector<char> live(ld_.size(), 0);
+    for (std::size_t t = 0; t < ht_.size(); ++t) {
+      const HtEntry& h = ht_[t];
+      int last = -1;
+      std::uint32_t len = 0;
+      for (int i = h.head; i != -1; i = ld_[i].next) {
+        if (i < 0 || i >= n) return "tID FIFO link out of range";
+        if (live[i] != 0) return "tID FIFO revisits an LD entry";
+        if (!ld_[i].valid || ld_[i].tid != t) {
+          return "tID FIFO links an entry of another tID or a free one";
+        }
+        live[i] = 1;
+        last = i;
+        ++len;
+      }
+      if (h.tail != last || h.count != len) {
+        return "tID FIFO tail or count disagrees with its links";
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      if (ld_[i].valid != (live[i] != 0)) {
+        return "valid LD entry outside every tID FIFO";
+      }
+    }
+    if (ei_.size() + free_.size() != ld_.size()) {
+      return "EI order and free list do not partition the LD table";
+    }
+    std::vector<char> listed(ld_.size(), 0);
+    for (const std::deque<int>* list : {&ei_, &free_}) {
+      const char want = list == &ei_ ? 1 : 0;
+      for (const int i : *list) {
+        if (i < 0 || i >= n) return "EI or free-list index out of range";
+        if (listed[i] != 0 || live[i] != want) {
+          return "EI order and free list do not partition the LD table";
+        }
+        listed[i] = 1;
+      }
+    }
+    return nullptr;
+  }
+
   struct HtEntry {
     int head = -1;
     int tail = -1;

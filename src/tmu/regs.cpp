@@ -80,6 +80,9 @@ std::uint32_t Tmu::read_reg(std::uint32_t offset) {
 
 void Tmu::write_reg(std::uint32_t offset, std::uint32_t value) {
   using namespace regs;
+  // CTRL may flip `enabled`, which decides what a skipped tick did:
+  // catch up under the old configuration first.
+  wake();
   switch (offset) {
     case kCtrl:
       cfg_.enabled = value & 1u;

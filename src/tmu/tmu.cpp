@@ -118,10 +118,20 @@ void Tmu::finish_recovery() {
   // matches the paper's interrupt-driven recovery routine.
 }
 
+void Tmu::skip_ticks(std::uint64_t n) {
+  cycle_ += n;
+  if (cfg_.enabled) {
+    wg_.skip_idle_cycles(n);
+    rg_.skip_idle_cycles(n);
+  }
+  tick_evt_ = false;
+}
+
 void Tmu::tick() {
   if (!cfg_.enabled) {
     ++cycle_;
     tick_evt_ = false;  // eval() is a pure wire pass-through
+    set_tick_idle(true);
     return;
   }
 
@@ -155,6 +165,7 @@ void Tmu::tick() {
       finish_recovery();
     }
     ++cycle_;
+    set_tick_idle(false);
     return;
   }
 
@@ -167,6 +178,7 @@ void Tmu::tick() {
     } else {
       if (q.w_valid && s.w_ready) --swallow_beats_;
       ++cycle_;
+      set_tick_idle(false);
       return;  // guards stay quiet while the channel is being scrubbed
     }
   }
@@ -200,6 +212,9 @@ void Tmu::tick() {
   tick_evt_ = severed_ || q.aw_valid || q.w_valid || q.ar_valid ||
               s.b_valid || s.r_valid || !wg_.ott().order().empty() ||
               !rg_.ott().order().empty();
+  // A quiet port with nothing outstanding repeats: the guards' next
+  // observe() only ticks their prescalers.
+  set_tick_idle(!tick_evt_);
 }
 
 void Tmu::reset() {

@@ -71,7 +71,14 @@ class Tmu : public sim::Module {
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(mst_.req);
     in.input(sub_.rsp);
+    in.tick_input(mst_.req);
+    in.tick_input(mst_.rsp);
+    in.tick_input(reset_ack);
   }
+  /// Idle monitoring (nothing outstanding, quiet manager port) or
+  /// disabled: only cycle_ and, while enabled, the guards' prescaler
+  /// phases move.
+  void skip_ticks(std::uint64_t n) override;
   void visit_state(sim::StateVisitor& v) override;
 
   // ---- fault / recovery interface ----

@@ -11,12 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "axi/traffic_gen.hpp"
 #include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
 #include "soc/topologies.hpp"
+#include "tmu/tmu.hpp"
 
 namespace {
 
@@ -206,6 +208,104 @@ TEST(SnapshotRestore, SurvivesRandomPayloadCorruption) {
       EXPECT_EQ(std::string(e.what()).rfind("tmu-soc-snapshot:", 0), 0u);
     }
   }
+}
+
+// Restore validates what the model would follow blindly: OTT links,
+// FIFO shapes and the EI/free partition, the guard's presented entry and
+// phases, and AXI sizes. Each case corrupts live state through public
+// accessors, captures it, and expects the restore to refuse by name.
+class CorruptedCapture : public ::testing::Test {
+ protected:
+  // The fixture netlist run until its write guard holds >= 2 entries.
+  void SetUp() override {
+    soc_ = soc::SocBuilder::build(fixture_desc());
+    for (int c = 0; c < 2000 && ott().order().size() < 2; ++c) {
+      soc_->sim().step();
+    }
+    ASSERT_GE(ott().order().size(), 2u);
+  }
+
+  tmu::Ott& ott() {
+    return soc_->get<tmu::Tmu>("tmu").write_guard().ott();
+  }
+  int first() { return ott().order()[0]; }
+  int second() { return ott().order()[1]; }
+  int a_free_entry() {
+    for (int i = 0; i < static_cast<int>(ott().capacity()); ++i) {
+      if (!ott().at(i).valid) return i;
+    }
+    ADD_FAILURE() << "OTT full";
+    return 0;
+  }
+
+  void expect_restore_rejects(const std::string& needle) {
+    const Snapshot snap = snapshot::capture(*soc_);
+    expect_rejects([&] { snapshot::fork(snap, fixture_desc()); }, needle);
+  }
+
+  std::unique_ptr<soc::Soc> soc_;
+};
+
+TEST_F(CorruptedCapture, FifoLinkOutOfRange) {
+  ott().at(first()).next = 1000;
+  expect_restore_rejects("OTT tID FIFO link out of range");
+}
+
+TEST_F(CorruptedCapture, FifoCycle) {
+  // Wherever the entry sits in its FIFO, a self-link never reaches -1.
+  ott().at(second()).next = second();
+  expect_restore_rejects("OTT tID FIFO");
+}
+
+TEST_F(CorruptedCapture, EntryTidOutOfRange) {
+  ott().at(first()).tid = 200;  // would index the ID remapper's slots
+  expect_restore_rejects("of another tID or a free one");
+}
+
+TEST_F(CorruptedCapture, LiveEntryMarkedFree) {
+  ott().at(second()).valid = false;
+  expect_restore_rejects("of another tID or a free one");
+}
+
+TEST_F(CorruptedCapture, FreeEntryMarkedValid) {
+  ott().at(a_free_entry()).valid = true;
+  expect_restore_rejects("valid LD entry outside every tID FIFO");
+}
+
+TEST_F(CorruptedCapture, PhaseOutOfRange) {
+  ott().at(first()).phase = 200;  // would index the per-phase arrays
+  expect_restore_rejects("OTT entry phase out of range");
+}
+
+TEST_F(CorruptedCapture, AxiSizeAboveSeven) {
+  axi::TxnDesc d;
+  d.size = 8;
+  soc_->get<axi::TrafficGenerator>("gen").push(d);
+  expect_restore_rejects("AXI size 8 exceeds 7");
+}
+
+// Every single-byte flip of the committed fixture's payload either fails
+// the restore with a named SnapshotError or restores a netlist that
+// simulates (the ASan job runs this through the snapshot label, where a
+// bad index or shift aborts the test).
+TEST(SnapshotRestore, EveryPayloadByteFlipOfTheFixtureIsSafe) {
+  const std::string path = std::string(TMU_TEST_DATA_DIR) + kFixtureFile;
+  const Snapshot clean = snapshot::decode(read_bytes(path));
+  const soc::SocDesc desc = fixture_desc();
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < clean.payload.size(); ++i) {
+    Snapshot snap = clean;
+    snap.payload[i] ^= 0xFF;
+    try {
+      const std::unique_ptr<soc::Soc> soc = snapshot::fork(snap, desc);
+      soc->sim().run(10);
+    } catch (const SnapshotError& e) {
+      ++rejected;
+      ASSERT_EQ(std::string(e.what()).rfind("tmu-soc-snapshot:", 0), 0u)
+          << "byte " << i << ": " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(SnapshotFixture, FixtureDecodesAndReencodesByteIdentically) {
