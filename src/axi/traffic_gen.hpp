@@ -63,6 +63,30 @@ struct RandomTrafficConfig {
   std::uint8_t len_min = 0, len_max = 7;
   std::uint8_t size = 3;
   bool operator==(const RandomTrafficConfig&) const = default;
+
+  /// Rng::range(lo, hi) needs lo <= hi. Names the first inverted draw
+  /// range ("len_min 1 > len_max 0"), or returns "" when the id, len and
+  /// addr ranges are all ordered. Checked wherever a config arrives from
+  /// outside: SocBuilder::validate, a campaign trial's traffic override
+  /// and snapshot restore.
+  std::string range_error() const {
+    const auto inverted = [](const char* what, std::uint64_t lo,
+                             std::uint64_t hi) {
+      std::string e = what;
+      e += "_min ";
+      e += std::to_string(lo);
+      e += " > ";
+      e += what;
+      e += "_max ";
+      e += std::to_string(hi);
+      return e;
+    };
+    if (id_min > id_max) return inverted("id", id_min, id_max);
+    if (len_min > len_max) return inverted("len", len_min, len_max);
+    if (addr_min > addr_max) return inverted("addr", addr_min, addr_max);
+    return {};
+  }
+
   template <typename V>
   void visit_fields(V& v) {
     visit(v, enabled);
@@ -77,6 +101,10 @@ struct RandomTrafficConfig {
     visit(v, len_max);
     visit(v, size);
     check_size(v, size);
+    if (!v.saving()) {
+      const std::string e = range_error();
+      if (!e.empty()) v.fail("traffic config has an inverted range: " + e);
+    }
   }
 };
 

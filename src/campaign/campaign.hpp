@@ -20,10 +20,11 @@
 /// trials across a worker pool and aggregates results deterministically:
 /// a report for a fixed base seed is byte-identical for 1 or N threads.
 ///
-/// Parallelism is safe because every trial builds its own netlist and
-/// Simulator, and the kernel's settled-state cache keys off a
-/// per-Simulator change-epoch context (sim/context.hpp) — no shared
-/// mutable state between workers.
+/// Parallelism is safe because every trial runs on a netlist and
+/// Simulator no other worker holds (its own, or a pooled one restored
+/// on the worker's thread), and the kernel's settled-state cache keys
+/// off a per-Simulator change-epoch context (sim/context.hpp) — no
+/// shared mutable state between workers.
 namespace campaign {
 
 /// One independent Monte-Carlo trial. `point == kNone` is a healthy
@@ -138,9 +139,15 @@ TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc);
 /// config, traffic, trace links and warmup_cycles — per-trial seed and
 /// fault point excluded) runs the warm-up once and captures a
 /// snapshot::Snapshot; every other trial of the group forks from it.
-/// Thread-safe (workers arriving while the warm-up runs block on its
-/// shared future); results are byte-identical to run_fault_trial for
-/// every spec. Trials without a warm-up phase pass straight through.
+/// Each group pools the trial netlists no worker is using: a trial takes
+/// one (the warm-up netlist serves the group's first trial; later trials
+/// build one only when none is idle), restores the snapshot into it on
+/// its own thread, runs finish_fault_trial and hands it back, so
+/// elaboration happens once per worker per group; a netlist whose
+/// restore or trial throws is dropped. Thread-safe (workers arriving
+/// while the warm-up runs block on its shared future); results are
+/// byte-identical to run_fault_trial for every spec. Trials without a
+/// warm-up phase pass straight through.
 TrialFn make_forking_trial_fn();
 
 /// A labelled group of trials (e.g. one variant x fault-point pair).

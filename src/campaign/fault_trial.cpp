@@ -59,6 +59,10 @@ void apply_traffic_and_warm(const TrialSpec& spec, soc::Soc& soc) {
   // spec.traffic drives the trial; a default (disabled) spec must not
   // clobber the traffic mode a custom desc configured for its manager.
   if (spec.traffic.enabled || !d.managers.front().traffic.enabled) {
+    if (const std::string e = spec.traffic.range_error(); !e.empty()) {
+      throw std::invalid_argument(
+          "run_fault_trial: traffic override has an inverted range: " + e);
+    }
     gen.set_random(spec.traffic);
   }
   if (spec.warmup_cycles > 0) soc.sim().run(spec.warmup_cycles);
@@ -92,7 +96,7 @@ TrialResult run_fault_trial(const TrialSpec& spec) {
 }
 
 TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc) {
-  soc::SocDesc d = soc.desc();
+  const soc::SocDesc& d = soc.desc();
   sim::Simulator& s = soc.sim();
   axi::TrafficGenerator& gen =
       soc.get<axi::TrafficGenerator>(d.managers.front().name);
@@ -211,13 +215,17 @@ TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc) {
 }
 
 TrialFn make_forking_trial_fn() {
+  // One warm-up group: its snapshot, and the trial netlists elaborated
+  // from its desc that no worker is using right now. A worker holds one
+  // netlist at a time, so a group never pools more than one per worker.
+  struct Group {
+    TrialSpec key;
+    std::shared_future<std::shared_ptr<const snapshot::Snapshot>> snap;
+    std::vector<std::unique_ptr<soc::Soc>> idle;
+  };
   struct Cache {
-    struct Entry {
-      TrialSpec key;
-      std::shared_future<std::shared_ptr<const snapshot::Snapshot>> snap;
-    };
     std::mutex mu;
-    std::vector<Entry> entries;  // few groups; structural-compare lookup
+    std::vector<Group> groups;  // few groups; structural-compare lookup
   };
   auto cache = std::make_shared<Cache>();
   return [cache](const TrialSpec& spec) -> TrialResult {
@@ -226,42 +234,52 @@ TrialFn make_forking_trial_fn() {
     const TrialSpec key = warmup_key_of(spec);
     std::promise<std::shared_ptr<const snapshot::Snapshot>> mine;
     std::shared_future<std::shared_ptr<const snapshot::Snapshot>> fut;
+    std::unique_ptr<soc::Soc> soc;
+    std::size_t group = 0;
     bool producer = false;
     {
       std::lock_guard<std::mutex> lock(cache->mu);
-      for (const Cache::Entry& e : cache->entries) {
-        if (e.key == key) {
-          fut = e.snap;
-          break;
-        }
-      }
-      if (!fut.valid()) {
-        fut = mine.get_future().share();
-        cache->entries.push_back(Cache::Entry{key, fut});
+      std::vector<Group>& groups = cache->groups;
+      while (group < groups.size() && !(groups[group].key == key)) ++group;
+      if (group == groups.size()) {
+        groups.push_back(Group{key, mine.get_future().share(), {}});
         producer = true;
+      } else if (!groups[group].idle.empty()) {
+        soc = std::move(groups[group].idle.back());
+        groups[group].idle.pop_back();
       }
+      fut = groups[group].snap;
     }
     if (producer) {
       // Run the shared warm-up outside the lock; waiters block on the
       // future. A warm-up failure is delivered to every trial of the
       // group — the same exception the cold path would throw per trial.
       try {
-        const soc::SocDesc d = make_trial_desc(key);
-        const std::unique_ptr<soc::Soc> warm = soc::SocBuilder::build(d);
+        std::unique_ptr<soc::Soc> warm =
+            soc::SocBuilder::build(make_trial_desc(key));
         apply_traffic_and_warm(key, *warm);
-        mine.set_value(
-            std::make_shared<const snapshot::Snapshot>(snapshot::capture(*warm)));
+        mine.set_value(std::make_shared<const snapshot::Snapshot>(
+            snapshot::capture(*warm)));
+        soc = std::move(warm);  // becomes this trial's netlist
       } catch (...) {
         mine.set_exception(std::current_exception());
       }
     }
     const std::shared_ptr<const snapshot::Snapshot> snap = fut.get();
-    // Fork: fresh netlist from the same desc, warmed state restored in.
     // make_trial_desc(spec) == make_trial_desc(key): with a warm-up
     // phase the desc carries no per-trial field.
-    const std::unique_ptr<soc::Soc> soc =
-        snapshot::fork(*snap, make_trial_desc(spec));
-    return finish_fault_trial(spec, *soc);
+    if (soc == nullptr) soc = soc::SocBuilder::build(make_trial_desc(spec));
+    // Restore on this thread, the one that drives the trial: restore
+    // re-syncs the simulator with the thread's ambient epoch, which is
+    // what lets a pooled netlist move between workers. A netlist whose
+    // restore or trial throws is dropped with this frame, never pooled.
+    snapshot::restore(*snap, *soc);
+    TrialResult r = finish_fault_trial(spec, *soc);
+    {
+      std::lock_guard<std::mutex> lock(cache->mu);
+      cache->groups[group].idle.push_back(std::move(soc));
+    }
+    return r;
   };
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <string>
@@ -32,6 +33,17 @@ namespace sim {
 
 class StateVisitor {
  public:
+  /// A saver: the walk appends to the visitor's own buffer (take_bytes()).
+  StateVisitor() : saving_(true), in_(nullptr, 0, nullptr) {}
+
+  /// A loader over [data, data + size): every primitive goes through the
+  /// bounds-checked cursor, and an underrun fails "payload underrun: need
+  /// <n> bytes, <m> left" before any byte past the end is read.
+  StateVisitor(const unsigned char* data, std::size_t size)
+      : saving_(false), in_(data, size, [this](const std::string& msg) {
+          fail("payload underrun: " + msg);
+        }) {}
+
   virtual ~StateVisitor() = default;
 
   StateVisitor(const StateVisitor&) = delete;
@@ -96,28 +108,41 @@ class StateVisitor {
     transfer(static_cast<unsigned char*>(p), n);
   }
 
- protected:
-  explicit StateVisitor(bool saving) : saving_(saving) {}
+  /// Loader: payload bytes consumed so far.
+  std::size_t consumed() const { return in_.pos(); }
 
-  /// Transfers n raw bytes (append on save, consume on load; a load
-  /// underrun must fail(), not return short).
-  virtual void transfer(unsigned char* p, std::size_t n) = 0;
-
-  /// Bytes left to consume (loaders); savers return a huge value.
-  virtual std::uint64_t remaining() const = 0;
+  /// Saver: moves the byte stream written so far out.
+  std::vector<unsigned char> take_bytes() { return std::move(out_); }
 
  private:
+  /// Bytes left to consume (loaders); savers return a huge value.
+  std::uint64_t remaining() const {
+    return saving_ ? ~std::uint64_t{0} : in_.remaining();
+  }
+
+  /// Transfers n raw bytes (append on save, consume on load).
+  void transfer(unsigned char* p, std::size_t n) {
+    if (saving_) {
+      out_.insert(out_.end(), p, p + n);
+    } else {
+      std::memcpy(p, in_.take(n), n);
+    }
+  }
+
   /// One fixed-width primitive in the sim/bytes.hpp encoding, packed and
   /// unpacked inline: restore runs on every forked trial.
   template <typename UInt>
   void le(UInt& x) {
-    unsigned char b[sizeof(UInt)];
-    if (saving_) bytes::store_le(b, x);
-    transfer(b, sizeof(UInt));
-    if (!saving_) x = bytes::load_le<UInt>(b);
+    if (saving_) {
+      bytes::put_le(out_, x);
+    } else {
+      x = bytes::load_le<UInt>(in_.take(sizeof(UInt)));
+    }
   }
 
   bool saving_;
+  std::vector<unsigned char> out_;  ///< saver's stream
+  bytes::Reader in_;                ///< loader's cursor
 };
 
 // ---------------------------------------------------------------------

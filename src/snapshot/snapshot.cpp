@@ -1,7 +1,6 @@
 #include "snapshot/snapshot.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "sim/bytes.hpp"
 #include "sim/state.hpp"
@@ -14,49 +13,21 @@ namespace {
   throw SnapshotError("tmu-soc-snapshot: " + msg);
 }
 
-/// Appends the netlist walk's byte stream to a growable buffer.
+/// Appends the netlist walk's byte stream to the visitor's buffer.
 class SaveVisitor final : public sim::StateVisitor {
  public:
-  SaveVisitor() : StateVisitor(/*saving=*/true) {}
-
   [[noreturn]] void fail(const std::string& msg) override { bail(msg); }
-
-  std::vector<unsigned char> take() { return std::move(out_); }
-
- protected:
-  void transfer(unsigned char* p, std::size_t n) override {
-    out_.insert(out_.end(), p, p + n);
-  }
-  std::uint64_t remaining() const override { return ~std::uint64_t{0}; }
-
- private:
-  std::vector<unsigned char> out_;
 };
 
 /// Consumes a payload; any underrun or contract violation throws with
 /// the current payload offset, so a drifted walk names where it died.
 class LoadVisitor final : public sim::StateVisitor {
  public:
-  LoadVisitor(const unsigned char* data, std::size_t size)
-      : StateVisitor(/*saving=*/false),
-        in_(data, size, [this](const std::string& msg) {
-          fail("payload underrun: " + msg);
-        }) {}
+  using StateVisitor::StateVisitor;
 
   [[noreturn]] void fail(const std::string& msg) override {
-    bail(msg + " (at payload offset " + std::to_string(in_.pos()) + ")");
+    bail(msg + " (at payload offset " + std::to_string(consumed()) + ")");
   }
-
-  std::size_t consumed() const { return in_.pos(); }
-
- protected:
-  void transfer(unsigned char* p, std::size_t n) override {
-    std::memcpy(p, in_.take(n), n);
-  }
-  std::uint64_t remaining() const override { return in_.remaining(); }
-
- private:
-  sim::bytes::Reader in_;
 };
 
 }  // namespace
@@ -66,14 +37,14 @@ Snapshot capture(soc::Soc& soc) {
   SaveVisitor v;
   soc.visit_state(v);
   Snapshot snap;
-  snap.topology_hash = soc.desc().hash();
+  snap.topology_hash = soc.topology_hash();
   snap.cycle = soc.sim().cycle();
-  snap.payload = v.take();
+  snap.payload = v.take_bytes();
   return snap;
 }
 
 void restore(const Snapshot& snap, soc::Soc& soc) {
-  const std::uint64_t have = soc.desc().hash();
+  const std::uint64_t have = soc.topology_hash();
   if (snap.topology_hash != have) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),

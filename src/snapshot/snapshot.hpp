@@ -26,7 +26,8 @@
 /// original's — same wires, same RNG draws, same scheduler wake order,
 /// same metrics. The campaign engine exploits this to run a scenario's
 /// common warm-up phase once and fork thousands of trials from it
-/// (campaign::ForkingTrialRunner).
+/// (campaign::make_forking_trial_fn), restoring each trial into a pooled
+/// netlist that earlier trials of the group ran on.
 ///
 /// On-disk format `tmu-soc-snapshot-v2` (strict, versioned,
 /// checksummed; encoded with the shared sim/bytes.hpp codec, all
@@ -82,11 +83,17 @@ struct Snapshot {
 Snapshot capture(soc::Soc& soc);
 
 /// Restores `snap` into `soc`, which must be elaborated from the same
-/// desc (pinned by the topology hash) under the same sched policy.
-/// After restore the simulator reports the captured cycle and continues
-/// byte-identically to the captured one. Throws SnapshotError on any
-/// mismatch; `soc` may be left partially written in that case — discard
-/// it (the cheap rejections all fire before any state is touched).
+/// desc (pinned by the topology hash, Soc::topology_hash()) under the
+/// same sched policy. Any such netlist qualifies, whatever it has run
+/// since: the restore overwrites all of its dynamic state, so it then
+/// equals a fresh fork(). After restore the simulator reports the
+/// captured cycle and continues byte-identically to the captured one.
+/// Restore on the thread that will drive the netlist: it re-syncs the
+/// simulator with that thread's ambient change epoch (sim/context.hpp),
+/// which is what makes handing a netlist to another thread safe. Throws
+/// SnapshotError on any mismatch; `soc` may be left partially written
+/// in that case — discard it (the cheap rejections all fire before any
+/// state is touched).
 void restore(const Snapshot& snap, soc::Soc& soc);
 
 /// Builds a fresh netlist from `desc` and restores `snap` into it — the

@@ -147,6 +147,9 @@ void SocBuilder::validate(const SocDesc& d) {
 
   for (const ManagerDesc& m : d.managers) {
     claim(m.name, "manager");
+    if (const std::string e = m.traffic.range_error(); !e.empty()) {
+      err("manager '" + m.name + "' has an inverted traffic range: " + e);
+    }
     if (m.kind != ManagerKind::kTrafficGen && m.traffic.enabled) {
       err("manager '" + m.name + "' is a " + to_string(m.kind) +
           " but has random traffic enabled "
@@ -546,7 +549,7 @@ std::unique_ptr<Soc> SocBuilder::build(const SocDesc& desc) {
   // what ties a trace file back to the topology it was captured on.
   for (const TraceDesc& t : d.traces) {
     add(std::make_unique<trace::Recorder>(t.name, t.link, soc->link(t.link),
-                                          d.hash(),
+                                          soc->topology_hash(),
                                           trace::Recorder::kDefaultCapacity,
                                           &soc->metrics_));
   }

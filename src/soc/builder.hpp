@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -31,8 +32,18 @@ class Soc {
   const sim::Simulator& sim() const { return sim_; }
 
   /// The desc this netlist was elaborated from (topology fingerprint:
-  /// desc().name / desc().hash()).
+  /// desc().name / topology_hash()).
   const SocDesc& desc() const { return desc_; }
+
+  /// desc().hash(), computed on first use and kept: the desc cannot
+  /// change after elaboration, so a netlist that is restored into again
+  /// and again (a pooled campaign trial) pins its topology without
+  /// re-serializing the desc each time. Like every Soc call, not for
+  /// concurrent use.
+  std::uint64_t topology_hash() const {
+    if (!topology_hash_) topology_hash_ = desc_.hash();
+    return *topology_hash_;
+  }
 
   /// Module by desc name, or nullptr.
   sim::Module* find(const std::string& name) {
@@ -105,6 +116,7 @@ class Soc {
   std::map<std::string, sim::Module*> by_name_;
   std::map<std::string, axi::Link*> link_by_name_;
   sim::Simulator sim_;
+  mutable std::optional<std::uint64_t> topology_hash_;
 };
 
 /// Elaborates SocDesc netlists. The single way the repo constructs SoC

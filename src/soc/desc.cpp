@@ -196,12 +196,11 @@ SocDesc SocDesc::from_json(const std::string& json) {
 
 namespace {
 
-// Shared const/mutable DFS: Subs is (const) std::vector<SubordinateDesc>.
-template <typename Subs, typename F>
-void visit_cluster_guards(Subs& subs, F&& f) {
-  for (auto& s : subs) {
-    for (auto& c : s.cluster) {
-      for (auto& g : c.guards) f(g);
+void visit_cluster_guards(const std::vector<SubordinateDesc>& subs,
+                          const std::function<void(const GuardDesc&)>& f) {
+  for (const SubordinateDesc& s : subs) {
+    for (const ClusterDesc& c : s.cluster) {
+      for (const GuardDesc& g : c.guards) f(g);
       visit_cluster_guards(c.subordinates, f);
     }
   }
@@ -215,17 +214,16 @@ void visit_guards(const SocDesc& d,
   visit_cluster_guards(d.subordinates, f);
 }
 
-void visit_guards(SocDesc& d, const std::function<void(GuardDesc&)>& f) {
-  for (GuardDesc& g : d.guards) f(g);
-  visit_cluster_guards(d.subordinates, f);
-}
-
-GuardDesc* first_guard(SocDesc& d) {
-  GuardDesc* first = nullptr;
-  visit_guards(d, [&](GuardDesc& g) {
+const GuardDesc* first_guard(const SocDesc& d) {
+  const GuardDesc* first = nullptr;
+  visit_guards(d, [&](const GuardDesc& g) {
     if (first == nullptr) first = &g;
   });
   return first;
+}
+
+GuardDesc* first_guard(SocDesc& d) {
+  return const_cast<GuardDesc*>(first_guard(std::as_const(d)));
 }
 
 std::uint64_t SocDesc::hash() const {

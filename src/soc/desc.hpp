@@ -251,10 +251,10 @@ struct SocDesc {
 /// desc this is simply the root guard list.
 void visit_guards(const SocDesc& d,
                   const std::function<void(const GuardDesc&)>& f);
-void visit_guards(SocDesc& d, const std::function<void(GuardDesc&)>& f);
 
 /// The first guard in visit_guards order, or nullptr (what a fault
 /// trial monitors by default).
 GuardDesc* first_guard(SocDesc& d);
+const GuardDesc* first_guard(const SocDesc& d);
 
 }  // namespace soc

@@ -219,6 +219,41 @@ TEST_F(CampaignEngine, ThrowingTrialIsCapturedAndCampaignCompletes) {
   EXPECT_NE(rep2.to_json().find("\"failed_trials\": 8"), std::string::npos);
 }
 
+TEST_F(CampaignEngine, InvertedTrafficOverrideFailsTheTrial) {
+  // TrialSpec::traffic arrives in spec JSON. An inverted range would
+  // divide by zero in Rng::range on the first random transaction; the
+  // override must fail the trial by name instead, cold and forked.
+  campaign::TrialSpec spec =
+      small_spec(Variant::kFullCounter, FaultPoint::kAwReadyStuck);
+  spec.traffic.p_new_txn = 1.0;
+  spec.traffic.len_min = 1;
+  spec.traffic.len_max = 0;
+  const std::string want =
+      "run_fault_trial: traffic override has an inverted range: "
+      "len_min 1 > len_max 0";
+  try {
+    campaign::run_fault_trial(spec);
+    FAIL() << "the trial ran with len_min > len_max";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+  campaign::TrialSpec warm = spec;
+  warm.warmup_cycles = 100;
+  for (const bool fork : {false, true}) {
+    campaign::EngineOptions opts;
+    opts.threads = 2;
+    opts.snapshot_fork = fork;
+    const campaign::Report rep = campaign::Engine(opts).run(
+        {campaign::make_scenario("cold", spec, 2),
+         campaign::make_scenario("warm", warm, 3)});
+    ASSERT_EQ(rep.results.size(), 5u);
+    for (const campaign::TrialResult& r : rep.results) {
+      EXPECT_TRUE(r.failed) << "fork " << fork;
+      EXPECT_EQ(r.error, want) << "fork " << fork;
+    }
+  }
+}
+
 TEST_F(CampaignEngine, WriteJsonRoundTrips) {
   const auto scenarios = small_campaign(3);
   campaign::Engine eng({1, 5ull});

@@ -340,23 +340,15 @@ TEST(SchedEquiv, PolicyTogglingMatchesReference) {
 // A module's visit_state() walk as bytes (save direction only).
 class StateBytes final : public sim::StateVisitor {
  public:
-  StateBytes() : sim::StateVisitor(/*saving=*/true) {}
   [[noreturn]] void fail(const std::string& msg) override {
     throw std::logic_error(msg);
   }
-  std::vector<unsigned char> bytes;
-
- protected:
-  void transfer(unsigned char* p, std::size_t n) override {
-    bytes.insert(bytes.end(), p, p + n);
-  }
-  std::uint64_t remaining() const override { return ~std::uint64_t{0}; }
 };
 
 std::vector<unsigned char> state_of(sim::Module& m) {
   StateBytes v;
   m.visit_state(v);
-  return v.bytes;
+  return v.take_bytes();
 }
 
 // Every module's state, registration order (crossbar shards included).

@@ -284,6 +284,24 @@ TEST_F(CorruptedCapture, AxiSizeAboveSeven) {
   expect_restore_rejects("AXI size 8 exceeds 7");
 }
 
+TEST_F(CorruptedCapture, InvertedTrafficRange) {
+  // len_min == len_max + 1: Rng::range would divide by zero on the
+  // restored generator's first random transaction.
+  axi::RandomTrafficConfig cfg = fixture_desc().managers.front().traffic;
+  cfg.p_new_txn = 1.0;
+  cfg.len_min = 1;
+  cfg.len_max = 0;
+  soc_->get<axi::TrafficGenerator>("gen").set_random(cfg);
+  const Snapshot snap = snapshot::capture(*soc_);
+  expect_rejects(
+      [&] {
+        const std::unique_ptr<soc::Soc> forked =
+            snapshot::fork(snap, fixture_desc());
+        forked->sim().run(10);
+      },
+      "traffic config has an inverted range: len_min 1 > len_max 0");
+}
+
 // Every single-byte flip of the committed fixture's payload either fails
 // the restore with a named SnapshotError or restores a netlist that
 // simulates (the ASan job runs this through the snapshot label, where a

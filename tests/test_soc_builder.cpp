@@ -138,6 +138,40 @@ TEST(SocBuilderValidation, DmaManagerWithRandomTraffic) {
   expect_invalid(d, "manager 'gen' is a dma_engine");
 }
 
+TEST(SocBuilderValidation, InvertedTrafficRangesAreRejected) {
+  // Rng::range(lo, hi) draws lo + next() % (hi - lo + 1): with
+  // hi == lo - 1 that is a division by zero on the first random
+  // transaction, so build must refuse each inverted range by name.
+  SocDesc d = soc::ip_testbench_desc();
+  auto& t = d.managers.front().traffic;
+  t.enabled = true;
+  t.p_new_txn = 1.0;
+  t.len_min = 1;
+  t.len_max = 0;
+  try {
+    SocBuilder::build(d);
+    FAIL() << "build accepted len_min > len_max";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "manager 'gen' has an inverted traffic range: "
+                  "len_min 1 > len_max 0"),
+              std::string::npos)
+        << e.what();
+  }
+  t.len_min = 0;
+  t.id_min = 4;
+  t.id_max = 3;
+  expect_invalid(d, "id_min 4 > id_max 3");
+  t.id_min = 0;
+  t.addr_min = 0x2000;
+  t.addr_max = 0x1000;
+  expect_invalid(d, "addr_min 8192 > addr_max 4096");
+  t.addr_min = t.addr_max;  // one-value ranges are fine
+  t.len_min = t.len_max = 3;
+  t.id_min = t.id_max = 2;
+  EXPECT_NO_THROW(SocBuilder::validate(d));
+}
+
 TEST(SocBuilderValidation, RecoveryWithNothingToService) {
   SocDesc d = base_desc();
   d.recovery.enabled = true;
