@@ -171,8 +171,9 @@ campaign::Report run_warm(const std::vector<campaign::Scenario>& scenarios,
                           bool fork) {
   campaign::EngineOptions opts;
   opts.threads = 0;  // hardware concurrency
-  opts.snapshot_fork = fork;
-  return campaign::Engine(opts).run(scenarios);
+  return campaign::Engine(opts).run(
+      scenarios, fork ? campaign::make_forking_trial_fn()
+                      : campaign::TrialFn(campaign::run_fault_trial));
 }
 
 void run_warmup_report() {

@@ -106,13 +106,12 @@ int main() {
   const std::vector<campaign::Scenario> scenarios = {
       campaign::make_scenario("forked-vs-cold", proto, 6)};
 
-  campaign::EngineOptions forked_opts;
-  forked_opts.threads = 2;
-  forked_opts.snapshot_fork = true;
-  campaign::EngineOptions cold_opts = forked_opts;
-  cold_opts.snapshot_fork = false;
-  const campaign::Report rf = campaign::Engine(forked_opts).run(scenarios);
-  const campaign::Report rc = campaign::Engine(cold_opts).run(scenarios);
+  campaign::EngineOptions opts;
+  opts.threads = 2;
+  const campaign::Engine engine(opts);
+  const campaign::Report rf =
+      engine.run(scenarios, campaign::make_forking_trial_fn());
+  const campaign::Report rc = engine.run(scenarios, campaign::run_fault_trial);
   ok &= check(rf.to_json() == rc.to_json(),
               "campaign report byte-identical forked vs cold");
   std::printf("  (%llu trials, %llu detected, fork amortized %llu warm-up "

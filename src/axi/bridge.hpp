@@ -58,7 +58,6 @@ class Bridge : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   /// Latched, eval() reads only the upstream request (the offered IDs'
   /// admission); transparent, it forwards both directions.
   void visit_inputs(sim::InputVisitor& in) override {
@@ -76,7 +75,6 @@ class Bridge : public sim::Module {
   /// does nothing.
   void skip_ticks(std::uint64_t n) override {
     if (!transparent()) cycle_ += n;
-    tick_evt_ = false;
   }
   void visit_state(sim::StateVisitor& v) override;
 
@@ -209,7 +207,6 @@ class Bridge : public sim::Module {
   std::uint64_t cycle_ = 0;
   std::size_t writes_forwarded_ = 0, reads_forwarded_ = 0;
   bool clear_inflight_ = false;
-  bool tick_evt_ = true;
 };
 
 }  // namespace axi

@@ -23,10 +23,10 @@ class Crossbar::MgrShard final : public sim::Module {
       : sim::Module(std::move(name)), x_(owner), m_(m) {}
 
   void eval() override;
+  /// The edge report: the facade's tick() sets it from the flag it
+  /// computes for this shard, so the shard itself needs no tick().
+  void report(bool evt) { tick_evt_ = evt; }
   void reset() override { prev_.fill(kNone); }
-  bool tick_changed_eval_state() const override {
-    return x_.st_.mgr_evt[m_] != 0;
-  }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(x_.mgrs_[m_]->req);
     for (std::size_t s = 0; s < x_.subs_.size(); ++s) {
@@ -64,10 +64,9 @@ class Crossbar::SubShard final : public sim::Module {
       : sim::Module(std::move(name)), x_(owner), s_(s) {}
 
   void eval() override;
+  /// See MgrShard::report().
+  void report(bool evt) { tick_evt_ = evt; }
   void reset() override { prev_.fill(kNone); }
-  bool tick_changed_eval_state() const override {
-    return x_.st_.sub_evt[s_] != 0;
-  }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(x_.subs_[s_]->rsp);
     for (std::size_t m = 0; m < x_.mgrs_.size(); ++m) {
@@ -622,6 +621,12 @@ void Crossbar::tick() {
     }
   }
   tick_evt_ = evt;
+  for (std::size_t m = 0; m < mgr_shards_.size(); ++m) {
+    mgr_shards_[m]->report(st_.mgr_evt[m] != 0);
+  }
+  for (std::size_t s = 0; s < sub_shards_.size(); ++s) {
+    sub_shards_[s]->report(st_.sub_evt[s] != 0);
+  }
   // Quiet manager ports and drained DECERR queues: no handshake can
   // fire, and every per-shard flag is already clear.
   set_tick_idle(!evt);

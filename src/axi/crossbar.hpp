@@ -74,7 +74,6 @@ class Crossbar : public sim::Module {
   bool is_combinational() const override {
     return impl_ == XbarImpl::kMonolithic;
   }
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_submodules(
       const std::function<void(sim::Module&)>& visit) override;
   /// The monolithic eval's inputs: every manager request and every
@@ -82,11 +81,6 @@ class Crossbar : public sim::Module {
   /// the scheduler only takes its shards' eval inputs), plus both
   /// directions of every port that tick() samples.
   void visit_inputs(sim::InputVisitor& in) override;
-  /// An idle facade tick changes nothing at all.
-  void skip_ticks(std::uint64_t n) override {
-    (void)n;
-    tick_evt_ = false;
-  }
   /// Facade-owned registered state + the internal shard-coupling wires;
   /// the shards' own scratch (stale-wire bookkeeping) rides along via
   /// their visit_state in the netlist walk.
@@ -163,8 +157,6 @@ class Crossbar : public sim::Module {
   std::vector<std::uint32_t> eval_ar_hint_;
   std::vector<std::uint32_t> tick_aw_hint_;
   std::vector<std::uint32_t> tick_ar_hint_;
-
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace axi

@@ -58,15 +58,11 @@ class MemorySubordinate : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.tick_input(link_.req);
     in.tick_input(link_.rsp);
   }
-  void skip_ticks(std::uint64_t n) override {
-    cycle_ += n;
-    tick_evt_ = false;
-  }
+  void skip_ticks(std::uint64_t n) override { cycle_ += n; }
   void visit_state(sim::StateVisitor& v) override;
 
   /// Backdoor accessors for tests.
@@ -202,7 +198,6 @@ class MemorySubordinate : public sim::Module {
   std::vector<std::uint64_t> bank_row_;
   std::size_t row_hits_ = 0, row_misses_ = 0, row_conflicts_ = 0;
   bool clear_inflight_ = false;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace axi

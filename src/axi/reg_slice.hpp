@@ -91,8 +91,6 @@ class RegSlice : public sim::Module {
     tick_evt_ = pop || push;
   }
 
-  bool tick_changed_eval_state() const override { return tick_evt_; }
-
   void visit_state(sim::StateVisitor& v) override {
     visit(v, tick_evt_);
     visit(v, aw_);
@@ -149,7 +147,6 @@ class RegSlice : public sim::Module {
 
   Link& up_;
   Link& down_;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
   Skid<AwFlit> aw_;
   Skid<WFlit> w_;
   Skid<ArFlit> ar_;

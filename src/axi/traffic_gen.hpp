@@ -181,15 +181,11 @@ class TrafficGenerator : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.tick_input(link_.req);
     in.tick_input(link_.rsp);
   }
-  void skip_ticks(std::uint64_t n) override {
-    cycle_ += n;
-    tick_evt_ = false;
-  }
+  void skip_ticks(std::uint64_t n) override { cycle_ += n; }
   void visit_state(sim::StateVisitor& v) override;
 
  private:
@@ -258,7 +254,6 @@ class TrafficGenerator : public sim::Module {
   std::uint32_t max_outstanding_ = 64;
 
   std::uint64_t cycle_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
   std::vector<TxnRecord> records_;
   std::size_t data_mismatches_ = 0;
   std::size_t error_responses_ = 0;

@@ -249,7 +249,8 @@ struct XbarState {
 
   // Per-shard edge-activity flags, recomputed by the facade's tick():
   // set iff the edge mutated state that the shard's eval reads (wire
-  // changes are traced separately by the scheduler).
+  // changes wake the shards separately). The facade's tick() copies each
+  // into its shard's edge report.
   std::vector<char> mgr_evt;
   std::vector<char> sub_evt;
 
@@ -266,6 +267,8 @@ struct XbarState {
 
   /// State serde: registered state only — the shape fields (n_m, n_s,
   /// id bits) and the decoder are construction-time and never change.
+  /// Load rejects state the shards would index out of range (see
+  /// load_error()).
   template <typename V>
   void visit_fields(V& v) {
     visit(v, w_route);
@@ -281,6 +284,67 @@ struct XbarState {
     visit(v, decode_errors);
     visit(v, mgr_evt);
     visit(v, sub_evt);
+    if (!v.saving()) {
+      if (const std::string why = load_error(); !why.empty()) {
+        v.fail("crossbar " + why);
+      }
+    }
+  }
+
+  /// Why loaded state does not fit this crossbar, or empty. It fits when
+  /// every per-port vector has its construction size, every W route
+  /// names a manager (w_route) or a subordinate or kDecErr
+  /// (mgr_w_route), and every round-robin pointer is in range: aw/ar
+  /// over the managers, b/r over the subordinates plus DECERR.
+  std::string load_error() const {
+    const struct {
+      const char* name;
+      std::size_t size, ports;
+    } shape[] = {
+        {"w_route", w_route.size(), n_s},
+        {"mgr_w_route", mgr_w_route.size(), n_m},
+        {"aw_rr", aw_rr.size(), n_s},
+        {"ar_rr", ar_rr.size(), n_s},
+        {"b_rr", b_rr.size(), n_m},
+        {"r_rr", r_rr.size(), n_m},
+        {"aw_id_route", aw_id_route.size(), n_m},
+        {"ar_id_route", ar_id_route.size(), n_m},
+        {"dec_w", dec_w.size(), n_m},
+        {"dec_r", dec_r.size(), n_m},
+        {"mgr_evt", mgr_evt.size(), n_m},
+        {"sub_evt", sub_evt.size(), n_s},
+    };
+    for (const auto& f : shape) {
+      if (f.size != f.ports) {
+        return std::string(f.name) + " has " + std::to_string(f.size) +
+               " entries for " + std::to_string(f.ports) + " ports";
+      }
+    }
+    const auto out_of_range = [](const char* name, std::size_t x) {
+      return std::string(name) + " entry " + std::to_string(x) +
+             " out of range";
+    };
+    for (const auto& q : w_route) {
+      for (const std::size_t m : q) {
+        if (m >= n_m) return out_of_range("w_route", m);
+      }
+    }
+    for (const auto& q : mgr_w_route) {
+      for (const std::size_t s : q) {
+        if (s >= n_s && s != kDecErr) return out_of_range("mgr_w_route", s);
+      }
+    }
+    for (const auto* rr : {&aw_rr, &ar_rr}) {
+      for (const std::size_t p : *rr) {
+        if (p >= n_m) return out_of_range("aw/ar round-robin pointer", p);
+      }
+    }
+    for (const auto* rr : {&b_rr, &r_rr}) {
+      for (const std::size_t p : *rr) {
+        if (p > n_s) return out_of_range("b/r round-robin pointer", p);
+      }
+    }
+    return {};
   }
 
   void clear() {

@@ -22,9 +22,9 @@
 ///
 /// Parallelism is safe because every trial runs on a netlist and
 /// Simulator no other worker holds (its own, or a pooled one restored
-/// on the worker's thread), and the kernel's settled-state cache keys
-/// off a per-Simulator change-epoch context (sim/context.hpp) — no
-/// shared mutable state between workers.
+/// on the worker's thread), and each Simulator takes its changes through
+/// a change sink of its own, installed thread-locally (sim/context.hpp)
+/// — no shared mutable state between workers.
 namespace campaign {
 
 /// One independent Monte-Carlo trial. `point == kNone` is a healthy
@@ -150,6 +150,11 @@ TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc);
 /// warm-up phase pass straight through.
 TrialFn make_forking_trial_fn();
 
+/// Runs `fn` on `spec` and turns a throw into a failed result carrying
+/// the exception's message: a throwing trial is data, not a campaign
+/// abort. Engine::run and remote::run_range run every trial through it.
+TrialResult run_trial_captured(const TrialFn& fn, const TrialSpec& spec);
+
 /// A labelled group of trials (e.g. one variant x fault-point pair).
 struct Scenario {
   std::string label;
@@ -237,11 +242,6 @@ struct EngineOptions {
   unsigned threads = 0;
   /// Base seed for deriving per-trial seeds where TrialSpec.seed == 0.
   std::uint64_t base_seed = 0xC0FFEEull;
-  /// Amortize TrialSpec::warmup_cycles across trials by snapshot-forking
-  /// (see make_forking_trial_fn). Only applies when run() is called
-  /// without an explicit TrialFn; reports are byte-identical either way,
-  /// so this is purely a throughput switch.
-  bool snapshot_fork = true;
 };
 
 /// Thread-pool-sharded campaign runner. Workers pull trial indices from
@@ -258,9 +258,9 @@ class Engine {
   unsigned threads() const { return threads_; }
 
   /// Runs the campaign. An empty `fn` (the default) means the standard
-  /// fault trial, with warm-up snapshot-forking when
-  /// EngineOptions::snapshot_fork is set; passing a TrialFn explicitly
-  /// (including run_fault_trial itself) runs it as-is, cold.
+  /// fault trial with warm-up snapshot-forking (make_forking_trial_fn);
+  /// a TrialFn passed explicitly runs as-is (run_fault_trial runs every
+  /// trial cold). Reports are byte-identical either way.
   Report run(const std::vector<Scenario>& scenarios,
              const TrialFn& fn = {}) const;
 

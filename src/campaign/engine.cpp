@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <exception>
 #include <fstream>
 #include <thread>
 
@@ -135,15 +136,28 @@ Engine::Engine(EngineOptions opts) : opts_(opts) {
   if (threads_ == 0) threads_ = 1;
 }
 
+TrialResult run_trial_captured(const TrialFn& fn, const TrialSpec& spec) {
+  try {
+    return fn(spec);
+  } catch (const std::exception& e) {
+    TrialResult r;
+    r.failed = true;
+    r.error = e.what();
+    return r;
+  } catch (...) {
+    TrialResult r;
+    r.failed = true;
+    r.error = "unknown exception";
+    return r;
+  }
+}
+
 Report Engine::run(const std::vector<Scenario>& scenarios,
                    const TrialFn& fn) const {
-  // Empty fn = the standard fault trial; snapshot_fork chooses between
-  // the warm-up-amortizing runner and the cold one. The fork cache lives
-  // in this TrialFn, so it is scoped to this run() call.
-  const TrialFn body =
-      fn ? fn
-         : (opts_.snapshot_fork ? make_forking_trial_fn()
-                                : TrialFn(run_fault_trial));
+  // Empty fn = the standard fault trial, forked from one warm-up per
+  // group. The fork cache lives in this TrialFn, so it is scoped to this
+  // run() call.
+  const TrialFn body = fn ? fn : make_forking_trial_fn();
   const std::vector<TrialSpec> specs =
       flatten_trials(scenarios, opts_.base_seed);
 
@@ -162,21 +176,10 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= specs.size()) return;
-      try {
-        rep.results[i] = body(specs[i]);
-      } catch (const std::exception& e) {
-        // A throwing trial is data, not a campaign abort: the failure
-        // lands in the trial's own result slot (deterministic at any
-        // thread count) and the remaining trials keep running. The
-        // scenario summary surfaces it as failed_trials.
-        rep.results[i] = TrialResult{};
-        rep.results[i].failed = true;
-        rep.results[i].error = e.what();
-      } catch (...) {
-        rep.results[i] = TrialResult{};
-        rep.results[i].failed = true;
-        rep.results[i].error = "unknown exception";
-      }
+      // A failure lands in the trial's own result slot (deterministic at
+      // any thread count) and the remaining trials keep running. The
+      // scenario summary surfaces it as failed_trials.
+      rep.results[i] = run_trial_captured(body, specs[i]);
     }
   };
 

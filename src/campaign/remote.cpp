@@ -441,18 +441,7 @@ ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
   for (std::uint64_t i = begin; i < end; ++i) {
     if (progress) progress(i);
     TrialResult& out = s.results[i - begin];
-    // Same capture semantics as Engine::run: a throwing trial is data.
-    try {
-      out = fn(specs[i]);
-    } catch (const std::exception& e) {
-      out = TrialResult{};
-      out.failed = true;
-      out.error = e.what();
-    } catch (...) {
-      out = TrialResult{};
-      out.failed = true;
-      out.error = "unknown exception";
-    }
+    out = run_trial_captured(fn, specs[i]);
     // Trace buffers do not ride slices (they are not part of the JSON
     // report; shipping them would dwarf the results).
     out.traces.clear();

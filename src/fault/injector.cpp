@@ -95,8 +95,12 @@ void FaultInjector::tick() {
     start_cycle_ = cycle_;
   }
   ++cycle_;
-  set_tick_idle(point_ == FaultPoint::kNone && !axi::w_fire(q, s) &&
-                !axi::r_fire(q, s));
+  // Disarmed, eval() is a pure wire pass-through, so wire wakeups cover
+  // it; armed, triggered() can flip as cycle/beat counters advance, so
+  // every edge is eval-relevant until disarm (arm/disarm themselves
+  // notify precisely).
+  tick_evt_ = point_ != FaultPoint::kNone;
+  set_tick_idle(!tick_evt_ && !axi::w_fire(q, s) && !axi::r_fire(q, s));
 }
 
 void FaultInjector::reset() {

@@ -122,14 +122,6 @@ class FaultInjector : public sim::Module {
   /// Disarmed and beat-free, a tick only advances cycle_.
   void skip_ticks(std::uint64_t n) override { cycle_ += n; }
 
-  /// Disarmed, eval() is a pure wire pass-through, so wire wakeups cover
-  /// it; armed, triggered() can flip as cycle/beat counters advance, so
-  /// every edge is eval-relevant until disarm (arm/disarm themselves
-  /// notify precisely).
-  bool tick_changed_eval_state() const override {
-    return point_ != FaultPoint::kNone;
-  }
-
   void visit_state(sim::StateVisitor& v) override {
     visit(v, point_);
     visit(v, at_cycle_);

@@ -6,26 +6,81 @@ namespace sim {
 
 class Module;
 
-/// Per-netlist change-epoch context. Every Wire write that changes a
-/// value (and every notify_state_change()) bumps the epoch of exactly one
-/// context; a Simulator keys its settled-state cache on its own context,
-/// so independent simulators — on the same thread or on different
-/// threads — never invalidate each other's caches.
+/// Where value changes go while a simulator resets, settles or ticks:
+/// its event scheduler during event-driven drains and tick phases, a
+/// write counter of its own during resets and full sweeps. Outside those
+/// phases no sink is installed, and a change bumps the thread's ambient
+/// epoch instead, which invalidates every simulator on the thread.
 ///
 /// Contract: coexisting simulators' netlists must be wire-disjoint. A
-/// wire written by simulator A's modules during eval/tick bumps only A's
-/// epoch, so a simulator B reading that wire would not notice the change
-/// (under the old global epoch it did). Cross-simulator coupling must go
-/// through testbench code instead — writes outside any simulator scope
-/// (including on_cycle callbacks) land on the ambient context, which
-/// conservatively invalidates every simulator on the thread.
+/// wire written by simulator A's modules reaches only A's sink, so a
+/// simulator B reading it would not notice. Couple simulators through
+/// testbench code instead (on_cycle callbacks included): its writes are
+/// ambient.
+class ChangeSink {
+ public:
+  /// A write changed a wire's value. `slot` is the wire's scheduling
+  /// cell: the upper 32 bits carry the instance tag of the scheduler
+  /// that registered a reader of the wire, the lower 32 bits the wire's
+  /// dense id in that scheduler's fan-out table.
+  virtual void on_wire_write(std::uint64_t& slot) = 0;
+  /// A free notify_state_change(): names neither a wire nor a module.
+  virtual void on_unattributed_change() = 0;
+
+ protected:
+  ~ChangeSink() = default;
+};
+
+namespace detail {
+
+/// The installed sink (thread_local: simulators on worker threads share
+/// nothing), or nullptr outside every simulator.
+inline thread_local ChangeSink* t_change_sink = nullptr;
+inline thread_local std::uint64_t t_ambient_epoch = 0;
+
+/// RAII installation of a change sink. Nestable (reset() settles) and
+/// exception-safe, so a ConvergenceError does not leave a dangling sink.
+class ChangeSinkScope {
+ public:
+  explicit ChangeSinkScope(ChangeSink& s) : prev_(t_change_sink) {
+    t_change_sink = &s;
+  }
+  ~ChangeSinkScope() { t_change_sink = prev_; }
+
+  ChangeSinkScope(const ChangeSinkScope&) = delete;
+  ChangeSinkScope& operator=(const ChangeSinkScope&) = delete;
+
+ private:
+  ChangeSink* prev_;
+};
+
+}  // namespace detail
+
+/// Changes made on this thread outside every simulator. Each Simulator
+/// keys its settled cache on it, so the ambient epoch is the one
+/// cross-simulator signal.
+inline std::uint64_t ambient_epoch() { return detail::t_ambient_epoch; }
+
+/// Marks eval-relevant state as changed from non-Module code. Inside a
+/// simulator's reset, settle or tick it marks that simulator for a full
+/// re-settle; anywhere else it bumps the ambient epoch. Prefer
+/// Module::notify_state_change() inside modules: it is module-precise.
+inline void notify_state_change() {
+  if (detail::t_change_sink != nullptr) {
+    detail::t_change_sink->on_unattributed_change();
+  } else {
+    ++detail::t_ambient_epoch;
+  }
+}
+
+/// A module's binding to its simulator (Module::bind_context, held
+/// weakly): module notifications and wakes reach the simulator's event
+/// scheduler through it, from wherever they are made.
 class SimContext {
  public:
-  /// Kernel-internal attachment point for the owning simulator's event
-  /// scheduler: module notifications routed through notify_module() can
-  /// then mark exactly the notifying module dirty instead of forcing a
-  /// full re-settle, and notifications and wake_module() calls wake a
-  /// module that sleeps through clock edges.
+  /// The owning simulator's event scheduler: a notification marks
+  /// exactly the notifying module dirty, and notifications and wakes
+  /// wake a module that sleeps through clock edges.
   class DirtySink {
    public:
     virtual void on_module_notified(const Module& m) = 0;
@@ -35,20 +90,13 @@ class SimContext {
     ~DirtySink() = default;
   };
 
-  std::uint64_t epoch() const { return epoch_; }
-  void bump() { ++epoch_; }
-
-  /// Precise notification from a bound module (Module::notify_state_change):
-  /// bumps the epoch and, when a scheduler is attached, marks the module
-  /// dirty so an event-driven settle re-evaluates only its cone.
+  /// Precise notification from a bound module (Module::notify_state_change).
   void notify_module(const Module& m) {
-    ++epoch_;
     if (sink_ != nullptr) sink_->on_module_notified(m);
   }
 
   /// Tick-gating wake from a bound module (Module::wake): catches the
-  /// module up and keeps it ticking. No epoch bump: eval state is
-  /// untouched.
+  /// module up and keeps it ticking. Eval state is untouched.
   void wake_module(const Module& m) {
     if (sink_ != nullptr) sink_->on_module_woken(m);
   }
@@ -59,60 +107,7 @@ class SimContext {
   void attach_dirty_sink(DirtySink* sink) { sink_ = sink; }
 
  private:
-  std::uint64_t epoch_ = 0;
   DirtySink* sink_ = nullptr;
 };
-
-namespace detail {
-
-/// Ambient context for wire writes performed outside any simulator scope
-/// (testbench code poking wires between cycles). thread_local, so worker
-/// threads running independent campaigns share nothing. Every Simulator
-/// on a thread treats the ambient epoch as part of its cache key:
-/// ambient writes conservatively invalidate all of them.
-inline thread_local SimContext t_ambient_ctx{};
-
-/// The simulator context currently evaluating on this thread, or nullptr
-/// outside settle()/step()/reset().
-inline thread_local SimContext* t_active_ctx = nullptr;
-
-inline SimContext& current_ctx() {
-  return t_active_ctx != nullptr ? *t_active_ctx : t_ambient_ctx;
-}
-
-inline void bump_change_epoch() { current_ctx().bump(); }
-
-/// RAII scope: attribute wire changes on this thread to `ctx`. Nestable
-/// (settle() inside step()); exception-safe so a ConvergenceError does
-/// not leave a dangling active context.
-class ActiveContextScope {
- public:
-  explicit ActiveContextScope(SimContext& ctx) : prev_(t_active_ctx) {
-    t_active_ctx = &ctx;
-  }
-  ~ActiveContextScope() { t_active_ctx = prev_; }
-
-  ActiveContextScope(const ActiveContextScope&) = delete;
-  ActiveContextScope& operator=(const ActiveContextScope&) = delete;
-
- private:
-  SimContext* prev_;
-};
-
-}  // namespace detail
-
-/// Epoch of this thread's ambient context (writes outside any simulator).
-inline std::uint64_t ambient_epoch() { return detail::t_ambient_ctx.epoch(); }
-
-/// Epoch of the context wire writes are currently attributed to: the
-/// active simulator's during settle/step, the thread-ambient otherwise.
-inline std::uint64_t change_epoch() { return detail::current_ctx().epoch(); }
-
-/// Marks eval-relevant state as changed outside tick()/reset() from
-/// non-Module code. Bumps the currently attributed context; prefer
-/// Module::notify_state_change() inside modules — it targets the owning
-/// simulator precisely instead of invalidating every simulator on the
-/// thread.
-inline void notify_state_change() { detail::bump_change_epoch(); }
 
 }  // namespace sim

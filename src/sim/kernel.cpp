@@ -9,10 +9,10 @@ namespace sim {
 
 void Simulator::reset() {
   sched_.wake_all();  // before the cycle counter the sleepers count from
-  detail::ActiveContextScope scope(*ctx_);  // attribute reset-path writes
+  detail::ChangeSinkScope sink(changes_);  // reset-path writes stay here
   for (Module* m : modules_) m->reset();
   cycle_ = 0;
-  settled_ = false;  // reset() mutates register state behind the epoch's back
+  settled_ = false;  // reset() mutates register state behind the wires' backs
   settle_now();
 }
 
@@ -22,9 +22,6 @@ void Simulator::settle() {
 }
 
 void Simulator::settle_now() {
-  // Attribute every wire change during evaluation to this simulator's
-  // context, so other live simulators keep their settled caches.
-  detail::ActiveContextScope scope(*ctx_);
   if (policy_ == sched::SchedPolicy::kEventDriven) {
     settle_event_driven();
   } else {
@@ -33,16 +30,17 @@ void Simulator::settle_now() {
 }
 
 void Simulator::settle_full_sweep() {
-  // Fast path: converged before, and neither this simulator's context
-  // nor the thread-ambient context (external testbench writes) changed
-  // since. eval() is idempotent by contract, so re-running it would
-  // change nothing; skipping is exact.
-  if (settled_ && ctx_->epoch() == settled_epoch_ &&
+  // Fast path: converged before, and since then no module notified and
+  // the ambient epoch (external testbench writes) did not move. eval()
+  // is idempotent by contract, so re-running it would change nothing;
+  // skipping is exact.
+  if (settled_ && !sched_.notified() &&
       ambient_epoch() == settled_ambient_epoch_) {
     return;
   }
+  detail::ChangeSinkScope sink(changes_);
   for (int iter = 0; iter < kMaxDeltaIterations; ++iter) {
-    const std::uint64_t epoch_before = ctx_->epoch();
+    const std::uint64_t before = changes_.n;
     for (Module* m : modules_) {
       if (m->is_combinational()) {
         m->eval();
@@ -50,10 +48,8 @@ void Simulator::settle_full_sweep() {
       }
     }
     ++eval_passes_;
-    if (ctx_->epoch() == epoch_before) {
-      settled_ = true;
-      settled_epoch_ = epoch_before;
-      settled_ambient_epoch_ = ambient_epoch();
+    if (changes_.n == before) {
+      mark_settled();
       return;
     }
   }
@@ -63,10 +59,16 @@ void Simulator::settle_full_sweep() {
 bool Simulator::needs_full_invalidation() const {
   // Reset, late add(), invalidate_settle() or a policy switch: register
   // state may have changed behind the wires' backs. Ambient writes can't
-  // name the wires they touched, and unattributed context bumps can't
-  // name a module.
+  // name the wires they touched, and unattributed changes can't name a
+  // module.
   return !settled_ || ambient_epoch() != settled_ambient_epoch_ ||
-         !sched_.epoch_accounted();
+         sched_.unattributed();
+}
+
+void Simulator::mark_settled() {
+  settled_ = true;
+  settled_ambient_epoch_ = ambient_epoch();
+  sched_.clear_changes();
 }
 
 void Simulator::settle_event_driven() {
@@ -84,10 +86,7 @@ void Simulator::settle_event_driven() {
     module_evals_ += evals;
     if (evals > 0) ++eval_passes_;
   }
-  settled_ = true;
-  settled_epoch_ = ctx_->epoch();
-  settled_ambient_epoch_ = ambient_epoch();
-  sched_.sync_epoch();
+  mark_settled();
 }
 
 namespace detail {
@@ -105,14 +104,14 @@ std::string divergence_message(const std::vector<const Module*>& dirty) {
 
 void Simulator::throw_full_sweep_divergence() {
   // One extra instrumented pass so the error names the offenders: a
-  // module whose eval still changes the epoch is part of the loop (or
-  // fed by it).
+  // module whose eval still changes a wire is part of the loop (or fed
+  // by it).
   std::vector<const Module*> dirty;
   for (Module* m : modules_) {
     if (!m->is_combinational()) continue;
-    const std::uint64_t e0 = ctx_->epoch();
+    const std::uint64_t before = changes_.n;
     m->eval();
-    if (ctx_->epoch() != e0) dirty.push_back(m);
+    if (changes_.n != before) dirty.push_back(m);
   }
   throw ConvergenceError(detail::divergence_message(dirty));
 }
@@ -133,22 +132,17 @@ void Simulator::visit_checkpoint(StateVisitor& v) {
   visit(v, eval_passes_);
   visit(v, module_evals_);
   sched_.visit_checkpoint(v);
-  if (!v.saving()) {
-    settled_ = true;
-    settled_epoch_ = ctx_->epoch();
-    settled_ambient_epoch_ = ambient_epoch();
-    sched_.sync_epoch();
-  }
+  if (!v.saving()) mark_settled();
 }
 
 void Simulator::advance() {
   settle_now();  // free when the previous edge left the netlist settled
   if (!cycle_callbacks_.empty()) {
     sched_.catch_up_all();
-    // Callbacks run OUTSIDE the context scope: they are testbench code
-    // and may write wires other simulators read, so their writes must
-    // land on the ambient context (conservative cross-simulator
-    // invalidation), not be misattributed to this simulator.
+    // Callbacks run with no change sink installed: they are testbench
+    // code and may write wires other simulators read, so their writes
+    // must bump the ambient epoch (conservative cross-simulator
+    // invalidation), not be taken for this simulator's.
     for (auto& cb : cycle_callbacks_) cb(cycle_);
     // What they touched must not be slept through at this edge.
     if (needs_full_invalidation()) sched_.wake_all();
@@ -156,12 +150,11 @@ void Simulator::advance() {
   if (policy_ == sched::SchedPolicy::kEventDriven) {
     const auto n = static_cast<std::uint32_t>(modules_.size());
     {
-      detail::ActiveContextScope scope(*ctx_);
-      // Write trace: wires mutated at the edge (reset callbacks, forced
-      // flushes) wake their declared eval readers precisely, and wake
-      // sleeping tick readers — later in registration order they still
-      // tick at this edge.
-      detail::WireWriteTraceScope wtrace(sched_);
+      // The scheduler takes the edge's changes: wires mutated at the edge
+      // (reset callbacks, forced flushes) wake their declared eval readers
+      // precisely, and wake sleeping tick readers — later in registration
+      // order they still tick at this edge.
+      detail::ChangeSinkScope sink(sched_);
       for (std::uint32_t i = 0; i < n; ++i) {
         if (sched_.asleep(i)) continue;  // idle: only time would advance
         Module* m = modules_[i];
@@ -183,16 +176,16 @@ void Simulator::advance() {
       if (modules_[i]->tick_changed_eval_state()) sched_.mark_index_dirty(i);
       sched_.settle_gate(i);
     }
-    // settled_ stays true: the worklist plus the scheduler's epoch
-    // accounting carry the edge, so a fully quiet edge settles for free.
+    // settled_ stays true: the worklist plus the scheduler's unattributed
+    // flag carry the edge, so a fully quiet edge settles for free.
     settle_now();
     return;
   }
   {
-    detail::ActiveContextScope scope(*ctx_);
+    detail::ChangeSinkScope sink(changes_);
     for (Module* m : modules_) m->tick();
   }
-  settled_ = false;  // tick() mutates register state behind the epoch's back
+  settled_ = false;  // tick() mutates register state behind the wires' backs
   ++cycle_;
   // Post-edge settle so callers observing wires after step() (tests,
   // probes) see outputs consistent with the new register state. This is

@@ -55,20 +55,19 @@ std::string divergence_message(const std::vector<const Module*>& dirty);
 /// module.
 ///
 /// The kernel caches the settled state: settle() on a netlist that has
-/// already converged — and whose wires are untouched since, tracked via
-/// this simulator's own change-epoch context plus the thread-ambient
-/// epoch — is a no-op. This makes the leading settle in
-/// step()/run_until() free, so a full run performs exactly one eval
-/// convergence per cycle (the post-edge settle).
+/// already converged — and untouched since, as this simulator's change
+/// sinks and the thread's ambient epoch report — is a no-op. This makes
+/// the leading settle in step()/run_until() free, so a full run performs
+/// exactly one eval convergence per cycle (the post-edge settle).
 ///
-/// Each Simulator owns a SimContext, so independent instances coexist
-/// without invalidating each other and independent campaigns can run on
-/// separate threads (nothing is shared; the attribution state is
+/// While it resets, settles or ticks, a Simulator installs its own
+/// change sink on its thread (sim/context.hpp), so independent instances
+/// coexist without invalidating each other and independent campaigns
+/// can run on separate threads (nothing is shared; the installed sink is
 /// thread_local). A Simulator and its netlist must be driven from one
 /// thread at a time, and coexisting simulators' netlists must be
 /// wire-disjoint — couple them through testbench code (e.g. on_cycle
-/// callbacks), whose writes invalidate every simulator on the thread;
-/// see sim/context.hpp.
+/// callbacks), whose writes invalidate every simulator on the thread.
 class Simulator {
  public:
   static constexpr int kMaxDeltaIterations = 64;
@@ -80,7 +79,7 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Registers a module (non-owning; the caller keeps ownership), binds
-  /// it to this simulator's change-epoch context and, for a
+  /// it to this simulator's context and, for a
   /// combinational module, adds its declared inputs
   /// (Module::visit_inputs) to the scheduler's wire fan-out. Adding a
   /// module already registered here is a no-op. Adding it to a second
@@ -161,11 +160,11 @@ class Simulator {
 
   /// Discards the cached settled state; the next settle() re-evaluates.
   /// Needed only when module-internal state changes outside tick()/reset()
-  /// (wire writes are tracked automatically via the write epoch).
+  /// (wire writes are tracked automatically).
   void invalidate_settle() { settled_ = false; }
 
-  /// This simulator's change-epoch context (wire writes during settle
-  /// and module notifications land here).
+  /// The context this simulator's modules are bound to (module
+  /// notifications and wakes land here).
   SimContext& context() { return *ctx_; }
   const SimContext& context() const { return *ctx_; }
 
@@ -178,7 +177,7 @@ class Simulator {
   /// the FIRST stop of the netlist walk: cycle/eval counters plus the
   /// scheduler checkpoint, and — on load — re-establishes the
   /// settled-state cache (the capture contract is a settled netlist;
-  /// restoring wire values bypasses the change epoch on purpose). The
+  /// restoring wire values reports no change on purpose). The
   /// snapshot records the sched policy and load fails on a mismatch:
   /// worklist contents and eval counters are policy-dependent, so a
   /// cross-policy restore could not be exact.
@@ -191,6 +190,7 @@ class Simulator {
   /// settle() without the catch-up.
   void settle_now();
   bool needs_full_invalidation() const;
+  void mark_settled();
   void settle_full_sweep();
   void settle_event_driven();
   [[noreturn]] void throw_full_sweep_divergence();
@@ -206,9 +206,16 @@ class Simulator {
   sched::SchedPolicy policy_;
   std::uint64_t eval_passes_ = 0;
   std::uint64_t module_evals_ = 0;
-  std::uint64_t settled_epoch_ = 0;
   std::uint64_t settled_ambient_epoch_ = 0;
   bool settled_ = false;
+
+  /// The change sink for resets and full sweeps: a sweep pass converged
+  /// when it counted no change.
+  struct ChangeCount final : ChangeSink {
+    void on_wire_write(std::uint64_t&) override { ++n; }
+    void on_unattributed_change() override { ++n; }
+    std::uint64_t n = 0;
+  } changes_;
 };
 
 }  // namespace sim

@@ -68,27 +68,27 @@ class Module {
   /// non-combinational module are ignored.
   virtual void visit_inputs(InputVisitor& in) { (void)in; }
 
-  /// Queried by the event-driven scheduler right after every tick():
-  /// may this clock edge have changed state that eval() depends on?
-  /// The conservative default (yes) re-evaluates the module each cycle,
-  /// exactly like the full sweep. Overriders return false only when the
-  /// edge provably left every eval-relevant register untouched — then
-  /// the module's settled outputs are still exact and its post-edge
-  /// re-eval is skipped, which is what makes idle-heavy netlists settle
-  /// in O(activity). Wire writes performed during the tick phase are
-  /// traced separately and wake reader modules regardless of this
-  /// report, so the contract covers non-wire register state only.
-  virtual bool tick_changed_eval_state() const { return true; }
+  /// The edge report, read by the event-driven scheduler right after
+  /// every tick(): may this clock edge have changed state that eval()
+  /// depends on? It returns tick_evt_, which starts true: the module is
+  /// re-evaluated after every edge, exactly like the full sweep. A module
+  /// that reports less sets tick_evt_ in tick(), on every path, and false
+  /// only when the edge provably left every eval-relevant register
+  /// untouched; its post-edge re-eval is then skipped, which is what
+  /// makes idle-heavy netlists settle in O(activity). Wire writes during
+  /// the tick phase wake their readers regardless, so the report covers
+  /// non-wire register state only.
+  bool tick_changed_eval_state() const { return tick_evt_; }
 
   /// Tick-gating catch-up: fast-forwards `n` (>= 1) skipped ticks in
   /// O(1). The kernel calls it on a sleeping module (see set_tick_idle)
   /// before anything can observe the skipped cycles: before the module's
   /// next tick() or eval(), before on_cycle callbacks and run_until
   /// predicates, and before a Simulator call returns. It must leave
-  /// exactly the state that `n` idle ticks with unchanged inputs leave —
-  /// advance the free-running counters and clear any "last tick changed
-  /// eval state" flag — and must not write wires or notify. Only modules
-  /// that report idle are ever called.
+  /// exactly the state that `n` idle ticks with unchanged inputs leave
+  /// (advance the free-running counters) and must not write wires or
+  /// notify. Only modules that report idle are ever called; the edge
+  /// report of a sleeper is already false.
   virtual void skip_ticks(std::uint64_t n) { (void)n; }
 
   /// The idle report of the last tick() (set_tick_idle).
@@ -105,10 +105,10 @@ class Module {
 
   const std::string& name() const { return name_; }
 
-  /// Binds the module to a simulator's change-epoch context (called by
+  /// Binds the module to a simulator's context (called by
   /// Simulator::add). Held weakly: a module outliving its simulator
-  /// falls back to ambient notification instead of dangling, and
-  /// destruction order between module and simulator is unconstrained.
+  /// falls back to the free notify_state_change() instead of dangling,
+  /// and destruction order between module and simulator is unconstrained.
   void bind_context(std::weak_ptr<SimContext> ctx) {
     ctx_ = std::move(ctx);
   }
@@ -118,14 +118,13 @@ class Module {
 
  protected:
   /// Marks eval-relevant module state as changed outside tick()/reset()
-  /// — e.g. a testbench calling arm()/set_*() between cycles. Bumps the
-  /// bound simulator's epoch so exactly that simulator's settled-state
-  /// cache misses — and, under an event-driven scheduler, marks exactly
-  /// this module dirty so the next settle re-evaluates only its cone,
-  /// and wakes it if it sleeps through clock edges (set_tick_idle).
-  /// Falls back to the ambient context (invalidating every simulator on
-  /// the thread) when unbound. Wire writes are tracked automatically;
-  /// this is only for state the wires can't see.
+  /// — e.g. a testbench calling arm()/set_*() between cycles. Exactly
+  /// the bound simulator's settled state goes stale: the event-driven
+  /// scheduler marks this module dirty, so the next settle re-evaluates
+  /// only its cone, and wakes it if it sleeps through clock edges
+  /// (set_tick_idle); the full sweep re-settles. Falls back to the free
+  /// sim::notify_state_change() when unbound. Wire writes are tracked
+  /// automatically; this is only for state the wires can't see.
   void notify_state_change() {
     if (auto ctx = ctx_.lock()) {
       ctx->notify_module(*this);
@@ -138,21 +137,20 @@ class Module {
   /// module every cycle). tick() calls this with true when its NEXT tick
   /// would change nothing but free-running time — a private cycle
   /// counter, a prescaler phase — given unchanged tick inputs and no
-  /// notification, and would report no eval-relevant change
-  /// (tick_changed_eval_state() false). The kernel then skips the
-  /// module's tick() and post-edge query until a declared tick input
-  /// (visit_inputs) changes value, the module is notified or woken, or
-  /// the kernel invalidates everything (reset, restore, policy switch,
-  /// ambient testbench write, invalidate_settle()). On wake it first
-  /// calls skip_ticks() with the number of ticks skipped. A module that
-  /// sets the report must set it on every tick() path; modules that
-  /// never set it tick every cycle.
+  /// notification, and would report no eval-relevant change (tick_evt_
+  /// false). The kernel then skips the module's tick() and post-edge
+  /// query until a declared tick input (visit_inputs) changes value, the
+  /// module is notified or woken, or the kernel invalidates everything
+  /// (reset, restore, policy switch, ambient testbench write,
+  /// invalidate_settle()). On wake it first calls skip_ticks() with the
+  /// number of ticks skipped. A module that sets the report must set it
+  /// on every tick() path; modules that never set it tick every cycle.
   void set_tick_idle(bool idle) { tick_idle_ = idle; }
 
   /// Wakes this module if it sleeps, after catching up its skipped ticks
-  /// (no epoch bump, no eval). Mutators call it first when they change
-  /// state the catch-up depends on, or read free-running time, and may
-  /// be called from another module's tick() while this one sleeps —
+  /// (no eval). Mutators call it first when they change state the
+  /// catch-up depends on, or read free-running time, and may be called
+  /// from another module's tick() while this one sleeps —
   /// notify_state_change() also wakes, but only after the mutation.
   /// Between Simulator calls every sleeper is already caught up.
   void wake() {
@@ -163,6 +161,12 @@ class Module {
   std::string name_;
   std::weak_ptr<SimContext> ctx_;
   bool tick_idle_ = false;
+
+ protected:
+  /// The edge report (tick_changed_eval_state()), declared beside
+  /// tick_idle_ to share its padding. Models that snapshot it visit it in
+  /// visit_state().
+  bool tick_evt_ = true;
 };
 
 }  // namespace sim

@@ -132,7 +132,6 @@ void EventScheduler::enqueue(std::uint32_t idx, WakeCause cause) {
 }
 
 void EventScheduler::on_wire_write(std::uint64_t& slot) {
-  absorb_attributed_bump();
   ++stats_.wire_writes;
   // Another scheduler's (or no) tag: no reader declared this wire here.
   if (!owns(slot)) return;
@@ -152,7 +151,7 @@ void EventScheduler::on_wire_write(std::uint64_t& slot) {
 }
 
 void EventScheduler::on_module_notified(const Module& m) {
-  absorb_attributed_bump();
+  notified_ = true;
   const auto it = index_of_.find(&m);
   if (it != index_of_.end()) {
     if (combinational_[it->second] != 0) {
@@ -160,9 +159,6 @@ void EventScheduler::on_module_notified(const Module& m) {
     }
     wake(it->second);
   }
-  // An unregistered (or tick-only) module's notification leaves the
-  // epoch gap unabsorbed only if the bump wasn't contiguous; for
-  // registered modules the enqueue is the precise invalidation.
 }
 
 void EventScheduler::on_module_woken(const Module& m) {
@@ -203,16 +199,8 @@ void EventScheduler::wake_all() {
   }
 }
 
-void EventScheduler::absorb_attributed_bump() {
-  // Attributed bumps arrive immediately after the epoch increment; only
-  // a contiguous bump may be absorbed, so an unattributed bump hiding
-  // between two attributed ones still leaves a gap and forces the
-  // conservative mark_all_dirty() path in the kernel.
-  if (ctx_.epoch() == accounted_epoch_ + 1) ++accounted_epoch_;
-}
-
 std::size_t EventScheduler::drain(int max_delta_iterations) {
-  detail::WireWriteTraceScope trace(*this);
+  detail::ChangeSinkScope sink(*this);
   const std::size_t budget =
       static_cast<std::size_t>(max_delta_iterations) *
       std::max<std::size_t>(modules_.size(), 1);
@@ -311,7 +299,6 @@ void EventScheduler::visit_checkpoint(StateVisitor& v) {
         v.fail("scheduler profile array size mismatch");
       }
     }
-    accounted_epoch_ = ctx_.epoch();
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "sim/context.hpp"
 #include "sim/sched/profiler.hpp"
-#include "sim/sched/trace.hpp"
 
 namespace sim {
 class Module;
@@ -50,18 +49,16 @@ struct SchedStats {
 /// module for the wires its eval() may read (Module::visit_inputs) and
 /// appends the module to each wire's fan-out list, so fan-out lists hold
 /// readers in registration order — the order the full sweep evaluates
-/// them in. A declared wire's embedded slot (sim/sched/trace.hpp) is
-/// tagged with this scheduler's instance tag and its dense id, so a
+/// them in. A declared wire's embedded slot (ChangeSink::on_wire_write)
+/// is tagged with this scheduler's instance tag and its dense id, so a
 /// value-changing write indexes its fan-out directly and wakes exactly
 /// the declared readers. The fan-out is a pure function of the netlist
 /// and its registration order; nothing is learned at run time.
 ///
-/// Epoch accounting: the scheduler absorbs context-epoch bumps it can
-/// attribute (traced wire writes, module notifications) by tracking the
-/// last accounted epoch. Any unattributed bump — testbench code poking
-/// the context directly — leaves a gap, and the kernel falls back to
-/// mark_all_dirty() on the next settle. Correctness therefore never
-/// depends on attribution; precision does.
+/// The kernel installs the scheduler as its thread's change sink during
+/// drains and tick phases. A change that names no wire and no module
+/// (a free notify_state_change() then) is only flagged (unattributed());
+/// the kernel falls back to mark_all_dirty() on the next settle.
 ///
 /// Tick gating: a module whose tick() reports idle (Module::set_tick_idle)
 /// sleeps from the next edge on — the kernel skips its tick() and its
@@ -73,7 +70,7 @@ struct SchedStats {
 /// tick phase by a module later in registration order is credited with
 /// the idle tick it missed this cycle, and one woken by an earlier module
 /// still ticks this cycle. Nothing about sleep is serialized.
-class EventScheduler final : public detail::WireTrace,
+class EventScheduler final : public ChangeSink,
                              public SimContext::DirtySink {
  public:
   /// `cycle` is the owning kernel's cycle counter: the number of edges
@@ -104,10 +101,13 @@ class EventScheduler final : public detail::WireTrace,
 
   bool has_dirty() const { return head_ != queue_.size(); }
 
-  /// True when every context-epoch bump since the last sync is accounted
-  /// for by an attributed (module-precise) invalidation.
-  bool epoch_accounted() const { return ctx_.epoch() == accounted_epoch_; }
-  void sync_epoch() { accounted_epoch_ = ctx_.epoch(); }
+  /// Changes the worklist does not carry, since the last
+  /// clear_changes(): a free notify_state_change() while this scheduler
+  /// was the change sink (unattributed), and any module notification
+  /// (notified; the full sweep, which drains no worklist, re-settles).
+  bool unattributed() const { return unattributed_; }
+  bool notified() const { return notified_; }
+  void clear_changes() { unattributed_ = notified_ = false; }
 
   /// Drains the worklist to quiescence; returns the number of module
   /// evals run. Eval budget mirrors the full sweep's worst case
@@ -143,7 +143,7 @@ class EventScheduler final : public detail::WireTrace,
   void catch_up_all();
   /// Catches up and wakes every sleeper (the kernel's invalidate-all
   /// paths: reset, restore, policy switch, ambient writes, unattributed
-  /// epoch bumps, invalidate_settle()).
+  /// changes, invalidate_settle()).
   void wake_all();
 
   /// Per-module profiling (default on): eval counts, wake causes and
@@ -162,14 +162,14 @@ class EventScheduler final : public detail::WireTrace,
   /// fan-out is not stored: the restoring simulator's add() calls
   /// rebuilt it from the same netlist. Load requires the restoring
   /// scheduler to hold the same module registry (same netlist,
-  /// registered in the same order) and resynchronizes the epoch
-  /// accounting to the restoring context.
+  /// registered in the same order).
   void visit_checkpoint(StateVisitor& v);
 
  private:
   class FanoutBuilder;
 
   void on_wire_write(std::uint64_t& slot) override;
+  void on_unattributed_change() override { unattributed_ = true; }
   void on_module_notified(const Module& m) override;
   void on_module_woken(const Module& m) override;
 
@@ -183,7 +183,6 @@ class EventScheduler final : public detail::WireTrace,
   void enqueue(std::uint32_t idx, WakeCause cause);
   void catch_up(std::uint32_t idx);
   void wake(std::uint32_t idx);
-  void absorb_attributed_bump();
   [[noreturn]] void throw_divergence();
 
   SimContext& ctx_;
@@ -212,7 +211,8 @@ class EventScheduler final : public detail::WireTrace,
   std::vector<std::uint32_t> queue_;  ///< FIFO worklist
   std::size_t head_ = 0;
 
-  std::uint64_t accounted_epoch_ = 0;
+  bool unattributed_ = false;
+  bool notified_ = false;
   SchedStats stats_;
 
   // Tick gating. A module is awake, drowsy (reported idle this tick

@@ -293,9 +293,9 @@ void visit(StateVisitor& v, std::map<K, V>& m) {
 }
 
 /// Snapshot-layer access to a Wire's private value (befriended by
-/// Wire). Loads write the value cell directly — no epoch bump, no trace
-/// hook: the restorer re-establishes the settled-state bookkeeping
-/// explicitly, so a restore must not look like activity. The wire's
+/// Wire). Loads write the value cell directly, with no change report:
+/// the restorer re-establishes the settled-state bookkeeping explicitly,
+/// so a restore must not look like activity. The wire's
 /// scheduling slot is not state: the restoring simulator's add() tagged
 /// it when the netlist was built.
 struct StateAccess {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/context.hpp"
-#include "sim/sched/trace.hpp"
 
 namespace sim {
 
@@ -15,10 +14,10 @@ class InputVisitor;
 /// wires during eval(); the kernel repeats eval passes until no wire
 /// changes. T must be equality-comparable and cheap to copy.
 ///
-/// Change tracking is per-context (see sim/context.hpp): a write that
-/// changes the value bumps the epoch of the simulator currently
-/// evaluating on this thread, or the thread-ambient context when no
-/// simulator is active.
+/// Change tracking (see sim/context.hpp): a write that changes the value
+/// goes to the change sink of the simulator resetting, settling or
+/// ticking on this thread, or bumps the thread's ambient epoch when no
+/// simulator is.
 ///
 /// Scheduling identity: an event-driven scheduler tags the wire's slot
 /// `sched_slot_` when a registered module declares it as an input
@@ -37,29 +36,23 @@ class Wire {
 
   const T& read() const { return value_; }
 
-  /// Writes v; bumps the attributed change epoch iff the value differs.
+  /// Writes v; reports a change iff the value differs.
   void write(const T& v) {
     if (!(v == value_)) {
       value_ = v;
-      detail::bump_change_epoch();
-      if (detail::t_wire_write_trace != nullptr) {
-        detail::t_wire_write_trace->on_wire_write(sched_slot_);
-      }
+      changed();
     }
   }
 
-  /// Sets the value from reset paths. Like write(), bumps the epoch only
-  /// on an actual change: reset storms that force already-default values
-  /// must not invalidate unrelated simulators' settled caches (the kernel
-  /// invalidates its own cache explicitly on reset(), so skipping the
-  /// bump never hides a reset from the owning simulator).
+  /// Sets the value from reset paths. Like write(), reports only an
+  /// actual change: reset storms that force already-default values must
+  /// not invalidate unrelated simulators' settled caches (the kernel
+  /// invalidates its own cache explicitly on reset(), so a skipped
+  /// report never hides a reset from the owning simulator).
   void force(T v) {
     if (!(v == value_)) {
       value_ = std::move(v);
-      detail::bump_change_epoch();
-      if (detail::t_wire_write_trace != nullptr) {
-        detail::t_wire_write_trace->on_wire_write(sched_slot_);
-      }
+      changed();
     }
   }
 
@@ -70,6 +63,14 @@ class Wire {
   friend struct StateAccess;
   // Sensitivity declarations hand the slot to the registering scheduler.
   friend class InputVisitor;
+
+  void changed() {
+    if (detail::t_change_sink != nullptr) {
+      detail::t_change_sink->on_wire_write(sched_slot_);
+    } else {
+      ++detail::t_ambient_epoch;
+    }
+  }
 
   T value_{};
   std::uint64_t sched_slot_ = 0;
@@ -95,7 +96,7 @@ class InputVisitor {
  protected:
   ~InputVisitor() = default;
 
-  /// The declared wire's scheduling slot (sim/sched/trace.hpp encoding).
+  /// The declared wire's scheduling slot (ChangeSink::on_wire_write).
   virtual void on_input(std::uint64_t& slot) = 0;
   virtual void on_tick_input(std::uint64_t& slot) = 0;
 };

@@ -89,7 +89,7 @@ Snapshot capture(soc::Soc& soc);
 /// equals a fresh fork(). After restore the simulator reports the
 /// captured cycle and continues byte-identically to the captured one.
 /// Restore on the thread that will drive the netlist: it re-syncs the
-/// simulator with that thread's ambient change epoch (sim/context.hpp),
+/// simulator with that thread's ambient epoch (sim/context.hpp),
 /// which is what makes handing a netlist to another thread safe. Throws
 /// SnapshotError on any mismatch; `soc` may be left partially written
 /// in that case — discard it (the cheap rejections all fire before any

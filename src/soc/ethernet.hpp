@@ -41,15 +41,11 @@ class EthernetPeripheral : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.tick_input(link_.req);
     in.tick_input(link_.rsp);
   }
-  void skip_ticks(std::uint64_t n) override {
-    cycle_ += n;
-    tick_evt_ = false;
-  }
+  void skip_ticks(std::uint64_t n) override { cycle_ += n; }
 
   /// State serde (sim/state.hpp): FIFOs, in-flight queues and counters.
   void visit_state(sim::StateVisitor& v) override;
@@ -119,7 +115,6 @@ class EthernetPeripheral : public sim::Module {
   std::uint64_t reads_done_ = 0;
   std::uint64_t hw_resets_ = 0;
   std::uint64_t cycle_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
   bool clear_pending_ = false;
 };
 

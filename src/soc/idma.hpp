@@ -53,14 +53,9 @@ class IdmaEngine : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.tick_input(link_.req);
     in.tick_input(link_.rsp);
-  }
-  void skip_ticks(std::uint64_t n) override {
-    (void)n;
-    tick_evt_ = false;
   }
 
   /// State serde (sim/state.hpp): descriptor queue, chunk FSM, buffer.
@@ -94,7 +89,6 @@ class IdmaEngine : public sim::Module {
   std::uint64_t descriptors_done_ = 0;
   std::uint64_t beats_moved_ = 0;
   std::uint64_t error_responses_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace soc

@@ -41,6 +41,17 @@ bool LastLevelCache::burst_hits(const axi::ArFlit& ar) const {
   return true;
 }
 
+bool LastLevelCache::line_owed(std::uint64_t idx) const {
+  for (const HitRead& h : hit_q_) {
+    for (unsigned beat = h.next_beat; beat < axi::beats(h.ar.len); ++beat) {
+      const axi::Addr a = axi::beat_addr(h.ar.addr, h.ar.size, h.ar.len,
+                                         h.ar.burst, beat);
+      if (line_index(a) == idx) return true;
+    }
+  }
+  return false;
+}
+
 axi::Data LastLevelCache::read_line_beat(axi::Addr a) const {
   const std::uint64_t idx = line_index(a);
   const std::uint64_t off = (a & ~(axi::Addr{7})) % kLineBytes;
@@ -87,6 +98,7 @@ void LastLevelCache::eval() {
 
   // ---- AR path: hit -> absorb locally, miss -> forward ----
   bool ar_is_hit = false;
+  bool ar_waits = false;
   if (uq.ar_valid) {
     ar_is_hit = burst_hits(uq.ar);
     // A hit behind an outstanding miss of the same ID must not overtake
@@ -97,10 +109,20 @@ void LastLevelCache::eval() {
         break;
       }
     }
+    // Likewise a miss must not overtake a queued hit of its ID: miss
+    // data wins the R mux below, so the miss waits until those drain.
+    if (!ar_is_hit) {
+      for (const HitRead& h : hit_q_) {
+        if (h.ar.id == uq.ar.id) {
+          ar_waits = true;
+          break;
+        }
+      }
+    }
   }
-  if (uq.ar_valid && ar_is_hit) {
+  if (uq.ar_valid && (ar_is_hit || ar_waits)) {
     dq.ar_valid = false;
-    us.ar_ready = hit_q_.size() < 8;
+    us.ar_ready = ar_is_hit && hit_q_.size() < 8;
   } else {
     us.ar_ready = ds.ar_ready;
   }
@@ -164,13 +186,15 @@ void LastLevelCache::tick() {
   // R beats delivered upstream.
   if (axi::r_fire(uq, us)) {
     if (ds.r_valid && dq.r_ready) {
-      // Miss data returning: allocate as it streams.
+      // Miss data returning: allocate as it streams, but never over a
+      // line a queued hit still reads (hits read their lines by index).
       for (auto it = miss_q_.begin(); it != miss_q_.end(); ++it) {
         if (it->ar.id == us.r.id) {
           const axi::Addr a = axi::beat_addr(it->ar.addr, it->ar.size,
                                              it->ar.len, it->ar.burst,
                                              it->beats_seen);
-          write_line_beat(a, us.r.data, 0xFF, /*allocate=*/true);
+          write_line_beat(a, us.r.data, 0xFF,
+                          /*allocate=*/!line_owed(line_index(a)));
           ++it->beats_seen;
           if (us.r.last) miss_q_.erase(it);
           break;

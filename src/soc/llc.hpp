@@ -20,7 +20,8 @@ namespace soc {
 ///  * read hit  — served after `hit_latency` cycles without touching
 ///    the memory side;
 ///  * read miss — the full transaction is forwarded to the memory side
-///    and the touched lines are allocated when data returns;
+///    and the touched lines are allocated when data returns, except a
+///    line a queued hit still has to serve;
 ///  * writes    — always forwarded (write-through) and update any
 ///    matching lines (no stale hits).
 ///
@@ -44,7 +45,6 @@ class LastLevelCache : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(up_.req);
     in.input(down_.rsp);
@@ -53,10 +53,7 @@ class LastLevelCache : public sim::Module {
     in.tick_input(down_.req);
     in.tick_input(down_.rsp);
   }
-  void skip_ticks(std::uint64_t n) override {
-    cycle_ += n;
-    tick_evt_ = false;
-  }
+  void skip_ticks(std::uint64_t n) override { cycle_ += n; }
 
   /// State serde (sim/state.hpp): tag/data arrays plus in-flight queues.
   void visit_state(sim::StateVisitor& v) override;
@@ -81,6 +78,8 @@ class LastLevelCache : public sim::Module {
   }
   /// True iff every beat of the burst hits.
   bool burst_hits(const axi::ArFlit& ar) const;
+  /// True iff a queued hit still has a beat to serve from line `idx`.
+  bool line_owed(std::uint64_t idx) const;
   axi::Data read_line_beat(axi::Addr a) const;
   void write_line_beat(axi::Addr a, axi::Data d, std::uint8_t strb,
                        bool allocate);
@@ -127,7 +126,6 @@ class LastLevelCache : public sim::Module {
   std::deque<OpenWrite> open_writes_;  ///< write-through beat tracking
   std::uint64_t hits_ = 0, misses_ = 0;
   std::uint64_t cycle_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace soc

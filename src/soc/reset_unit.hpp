@@ -50,12 +50,7 @@ class ResetUnit : public sim::Module {
     set_tick_idle(!tick_evt_ && state_ != State::kResetting);
   }
 
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override { in.tick_input(req_); }
-  void skip_ticks(std::uint64_t n) override {
-    (void)n;
-    tick_evt_ = false;
-  }
 
   void reset() override {
     state_ = State::kIdle;
@@ -85,7 +80,6 @@ class ResetUnit : public sim::Module {
   State state_ = State::kIdle;
   std::uint32_t count_ = 0;
   std::uint64_t resets_performed_ = 0;
-  bool tick_evt_ = true;
 };
 
 }  // namespace soc

@@ -43,8 +43,6 @@ class TmuMmio : public sim::Module {
     link_.rsp.write(s);
   }
 
-  bool tick_changed_eval_state() const override { return tick_evt_; }
-
   void tick() override {
     const axi::AxiReq q = link_.req.read();
     const axi::AxiRsp s = link_.rsp.read();
@@ -138,7 +136,6 @@ class TmuMmio : public sim::Module {
   axi::Data r_data_ = 0;
 
   std::uint64_t reg_reads_ = 0, reg_writes_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace soc

@@ -124,7 +124,6 @@ void Tmu::skip_ticks(std::uint64_t n) {
     wg_.skip_idle_cycles(n);
     rg_.skip_idle_cycles(n);
   }
-  tick_evt_ = false;
 }
 
 void Tmu::tick() {

@@ -67,7 +67,6 @@ class Tmu : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(mst_.req);
     in.input(sub_.rsp);
@@ -171,7 +170,6 @@ class Tmu : public sim::Module {
   std::uint64_t resets_requested_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t cycle_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
   bool irq_latched_ = false;        ///< level interrupt, cleared by sw
   std::size_t fault_read_ptr_ = 0;  ///< regfile FAULT_FIFO cursor
 };

@@ -56,7 +56,6 @@ class TraceTrafficGen : public sim::Module {
   void eval() override;
   void tick() override;
   void reset() override;
-  bool tick_changed_eval_state() const override { return tick_evt_; }
 
   /// State serde (sim/state.hpp): stream, per-channel plan progress.
   void visit_state(sim::StateVisitor& v) override;
@@ -103,7 +102,6 @@ class TraceTrafficGen : public sim::Module {
   TraceBuffer buf_;  ///< retained for metadata (link, hash, dropped)
   ChannelPlan aw_, w_, ar_;
   std::uint64_t cycle_ = 0;
-  bool tick_evt_ = true;  ///< last tick touched eval-relevant state
 };
 
 }  // namespace trace

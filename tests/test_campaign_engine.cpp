@@ -242,10 +242,11 @@ TEST_F(CampaignEngine, InvertedTrafficOverrideFailsTheTrial) {
   for (const bool fork : {false, true}) {
     campaign::EngineOptions opts;
     opts.threads = 2;
-    opts.snapshot_fork = fork;
     const campaign::Report rep = campaign::Engine(opts).run(
         {campaign::make_scenario("cold", spec, 2),
-         campaign::make_scenario("warm", warm, 3)});
+         campaign::make_scenario("warm", warm, 3)},
+        fork ? campaign::make_forking_trial_fn()
+             : campaign::TrialFn(campaign::run_fault_trial));
     ASSERT_EQ(rep.results.size(), 5u);
     for (const campaign::TrialResult& r : rep.results) {
       EXPECT_TRUE(r.failed) << "fork " << fork;

@@ -24,30 +24,30 @@ using namespace axi;
 
 TEST(WireEpoch, OnlyRealChangesBumpEpoch) {
   sim::Wire<int> w;
-  const auto e0 = sim::change_epoch();
+  const auto e0 = sim::ambient_epoch();
   w.write(0);  // same value: no bump
-  EXPECT_EQ(sim::change_epoch(), e0);
+  EXPECT_EQ(sim::ambient_epoch(), e0);
   w.write(5);
-  EXPECT_EQ(sim::change_epoch(), e0 + 1);
+  EXPECT_EQ(sim::ambient_epoch(), e0 + 1);
   w.write(5);
-  EXPECT_EQ(sim::change_epoch(), e0 + 1);
+  EXPECT_EQ(sim::ambient_epoch(), e0 + 1);
   // force() also bumps only on an actual change: reset storms forcing
   // already-default values must not invalidate unrelated simulators.
   w.force(5);
-  EXPECT_EQ(sim::change_epoch(), e0 + 1);
+  EXPECT_EQ(sim::ambient_epoch(), e0 + 1);
   w.force(6);
-  EXPECT_EQ(sim::change_epoch(), e0 + 2);
+  EXPECT_EQ(sim::ambient_epoch(), e0 + 2);
 }
 
 TEST(WireEpoch, StructValuesCompareDeep) {
   sim::Wire<AxiReq> w;
   AxiReq q{};
-  const auto e0 = sim::change_epoch();
+  const auto e0 = sim::ambient_epoch();
   w.write(q);  // default == default: no change
-  EXPECT_EQ(sim::change_epoch(), e0);
+  EXPECT_EQ(sim::ambient_epoch(), e0);
   q.aw_valid = true;
   w.write(q);
-  EXPECT_EQ(sim::change_epoch(), e0 + 1);
+  EXPECT_EQ(sim::ambient_epoch(), e0 + 1);
 }
 
 TEST(Logger, LevelGateWorks) {

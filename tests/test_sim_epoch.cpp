@@ -63,6 +63,22 @@ class Gain : public sim::Module {
   int gain_ = 1;
 };
 
+// A tick-only module whose tick() makes one free, unattributed
+// sim::notify_state_change() call when poked.
+class Poker : public sim::Module {
+ public:
+  explicit Poker(std::string name) : sim::Module(std::move(name)) {}
+  bool is_combinational() const override { return false; }
+  void tick() override {
+    if (poke) {
+      poke = false;
+      sim::notify_state_change();
+    }
+  }
+
+  bool poke = false;
+};
+
 struct Counter {
   sim::Wire<int> q, d;
   DFlop flop{"flop", d, q};
@@ -142,6 +158,31 @@ TEST(SimEpoch, AmbientWireWriteInvalidatesAllSimulatorsOnThread) {
   b.s.settle();
   EXPECT_GT(a.s.eval_passes(), a0);  // directly affected
   EXPECT_GT(b.s.eval_passes(), b0);  // conservatively re-settled
+}
+
+TEST(SimEpoch, UnattributedNotifyInTickResettlesOnlyItsSimulator) {
+  // A free notify_state_change() from a module's tick() names neither a
+  // wire nor a module: the simulator ticking it re-settles everything at
+  // its next settle, and a simulator beside it on the thread stays
+  // settled.
+  Counter a, b;
+  Poker poker("poker");
+  a.s.add(poker);
+  a.s.step();
+  b.s.step();
+  const std::uint64_t full0 = a.s.sched_stats().full_invalidations;
+  a.s.step();  // an edge without the call invalidates nothing wholesale
+  EXPECT_EQ(a.s.sched_stats().full_invalidations, full0);
+  const std::uint64_t b_full = b.s.sched_stats().full_invalidations;
+  const std::uint64_t b_passes = b.s.eval_passes();
+  const std::uint64_t b_evals = b.s.module_evals();
+  poker.poke = true;
+  a.s.step();  // the post-edge settle is the next settle
+  EXPECT_EQ(a.s.sched_stats().full_invalidations, full0 + 1);
+  b.s.settle();
+  EXPECT_EQ(b.s.sched_stats().full_invalidations, b_full);
+  EXPECT_EQ(b.s.eval_passes(), b_passes);
+  EXPECT_EQ(b.s.module_evals(), b_evals);
 }
 
 TEST(SimEpoch, CycleCallbackWritesInvalidateOtherSimulators) {

@@ -111,7 +111,7 @@ class Follower : public sim::Module {
            bool declare)
       : sim::Module(std::move(name)), in_(in), out_(out), declare_(declare) {}
   void eval() override { out_.write(in_.read()); }
-  bool tick_changed_eval_state() const override { return false; }
+  void tick() override { tick_evt_ = false; }
   void visit_inputs(sim::InputVisitor& v) override {
     if (declare_) v.input(in_);
   }

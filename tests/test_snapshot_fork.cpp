@@ -53,8 +53,9 @@ campaign::Report run_campaign(const std::vector<campaign::Scenario>& s,
                               unsigned threads, bool fork) {
   campaign::EngineOptions opts;
   opts.threads = threads;
-  opts.snapshot_fork = fork;
-  return campaign::Engine(opts).run(s);
+  return campaign::Engine(opts).run(
+      s, fork ? campaign::make_forking_trial_fn()
+              : campaign::TrialFn(campaign::run_fault_trial));
 }
 
 TEST(SnapshotFork, ForkedReportByteIdenticalToCold) {

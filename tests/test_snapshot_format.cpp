@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "axi/crossbar.hpp"
 #include "axi/traffic_gen.hpp"
 #include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
+#include "sim/state.hpp"
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
 #include "soc/topologies.hpp"
@@ -300,6 +304,40 @@ TEST_F(CorruptedCapture, InvertedTrafficRange) {
         forked->sim().run(10);
       },
       "traffic config has an inverted range: len_min 1 > len_max 0");
+}
+
+TEST_F(CorruptedCapture, CrossbarPortVectorShrunk) {
+  // An idle grid_desc(2, 2, 0) crossbar's state opens with w_route: its
+  // count (2, one grant queue per subordinate), then both queues, empty.
+  // Claim one queue and drop the second: restored, sub shard 1 would
+  // read w_route[1] past the end on its next eval.
+  const soc::SocDesc desc = soc::grid_desc(2, 2, 0);
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(desc);
+  soc->sim().run(20);
+  Snapshot snap = snapshot::capture(*soc);
+
+  struct SaveBytes final : sim::StateVisitor {
+    [[noreturn]] void fail(const std::string& msg) override {
+      throw std::logic_error(msg);
+    }
+  } save;
+  for (sim::Module* m : soc->sim().modules()) {
+    if (dynamic_cast<axi::Crossbar*>(m) != nullptr) m->visit_state(save);
+  }
+  const std::vector<unsigned char> xbar = save.take_bytes();
+  const auto at = std::search(snap.payload.begin(), snap.payload.end(),
+                              xbar.begin(), xbar.end());
+  ASSERT_NE(at, snap.payload.end());
+  const std::vector<unsigned char> routes(at, at + 24);
+  std::vector<unsigned char> want;
+  for (const std::uint64_t n : {2, 0, 0}) sim::bytes::put_le(want, n);
+  ASSERT_EQ(routes, want);
+  *at = 1;
+  snap.payload.erase(at + 8, at + 16);
+
+  const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
+  expect_rejects([&] { snapshot::fork(crafted, desc); },
+                 "crossbar w_route has 1 entries for 2 ports");
 }
 
 // Every single-byte flip of the committed fixture's payload either fails

@@ -137,4 +137,66 @@ TEST_F(LlcFixture, SameIdHitNeverOvertakesMiss) {
   EXPECT_LT(gen.records()[1].complete_cycle, gen.records()[2].complete_cycle);
 }
 
+// The same netlist over the default memory, whose 2-cycle read latency
+// returns miss data while an earlier hit is still being served (the
+// 20-cycle memory above lets every hit drain first).
+struct LlcOverDefaultMemory : ::testing::Test {
+  Link up, down;
+  TrafficGenerator gen{"gen", up, 5};
+  LastLevelCache llc{"llc", up, down};
+  MemorySubordinate mem{"mem", down, MemoryConfig{}};
+  Scoreboard sb{"sb", up};
+  sim::Simulator s;
+
+  void SetUp() override {
+    s.add(gen);
+    s.add(llc);
+    s.add(mem);
+    s.add(sb);
+    s.reset();
+  }
+
+  void complete(std::size_t n, std::uint64_t budget = 5000) {
+    ASSERT_TRUE(s.run_until([&] { return gen.completed() >= n; }, budget))
+        << gen.completed() << "/" << n;
+  }
+
+  // Writes one full line at `a` and reads it back once, so the cache
+  // allocates it.
+  void cache_line(Addr a) {
+    const std::size_t n = gen.completed();
+    gen.push(TxnDesc{true, 0, a, 7, 3, Burst::kIncr});
+    complete(n + 1);
+    gen.push(TxnDesc{false, 0, a, 7, 3, Burst::kIncr});
+    complete(n + 2);
+  }
+};
+
+TEST_F(LlcOverDefaultMemory, MissDoesNotEvictALineAQueuedHitServes) {
+  // 0x1000 and 0x5000 share line index 64 of the 256-line cache.
+  gen.push(TxnDesc{true, 0, 0x5000, 7, 3, Burst::kIncr});
+  complete(1);
+  cache_line(0x1000);
+  const std::uint64_t hits = llc.hits();
+  gen.push(TxnDesc{false, 1, 0x1000, 7, 3, Burst::kIncr});  // 8-beat hit
+  gen.push(TxnDesc{false, 2, 0x5000, 7, 3, Burst::kIncr});  // miss
+  complete(5);
+  EXPECT_EQ(llc.hits(), hits + 1);
+  EXPECT_EQ(gen.data_mismatches(), 0u);
+  EXPECT_EQ(sb.violation_count(), 0u);
+}
+
+TEST_F(LlcOverDefaultMemory, SameIdMissNeverOvertakesHit) {
+  gen.push(TxnDesc{true, 0, 0x8000, 0, 3, Burst::kIncr});
+  complete(1);
+  cache_line(0x1000);
+  gen.push(TxnDesc{false, 1, 0x1000, 7, 3, Burst::kIncr});  // 8-beat hit
+  gen.push(TxnDesc{false, 1, 0x8000, 0, 3, Burst::kIncr});  // 1-beat miss
+  complete(5);
+  EXPECT_EQ(gen.data_mismatches(), 0u);
+  EXPECT_EQ(sb.violation_count(), 0u);
+  // Completion order preserved.
+  EXPECT_LT(gen.records()[3].complete_cycle, gen.records()[4].complete_cycle);
+}
+
 }  // namespace
