@@ -24,8 +24,10 @@ class Crossbar::MgrShard final : public sim::Module {
 
   void eval() override;
   /// The edge report: the facade's tick() sets it from the flag it
-  /// computes for this shard, so the shard itself needs no tick().
+  /// computes for this shard, so the shard itself needs no tick() and
+  /// the kernel reads the report right after the facade's.
   void report(bool evt) { tick_evt_ = evt; }
+  bool is_sequential() const override { return false; }
   void reset() override { prev_.fill(kNone); }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(x_.mgrs_[m_]->req);
@@ -66,6 +68,7 @@ class Crossbar::SubShard final : public sim::Module {
   void eval() override;
   /// See MgrShard::report().
   void report(bool evt) { tick_evt_ = evt; }
+  bool is_sequential() const override { return false; }
   void reset() override { prev_.fill(kNone); }
   void visit_inputs(sim::InputVisitor& in) override {
     in.input(x_.subs_[s_]->rsp);
@@ -628,7 +631,9 @@ void Crossbar::tick() {
     sub_shards_[s]->report(st_.sub_evt[s] != 0);
   }
   // Quiet manager ports and drained DECERR queues: no handshake can
-  // fire, and every per-shard flag is already clear.
+  // fire, and every per-shard flag is already clear. The kernel reads the
+  // shards' reports only at edges this facade ticks at, so they stay
+  // clear while it sleeps.
   set_tick_idle(!evt);
 }
 

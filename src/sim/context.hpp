@@ -4,8 +4,6 @@
 
 namespace sim {
 
-class Module;
-
 /// Where value changes go while a simulator resets, settles or ticks:
 /// its event scheduler during event-driven drains and tick phases, a
 /// write counter of its own during resets and full sweeps. Outside those
@@ -75,7 +73,9 @@ inline void notify_state_change() {
 
 /// A module's binding to its simulator (Module::bind_context, held
 /// weakly): module notifications and wakes reach the simulator's event
-/// scheduler through it, from wherever they are made.
+/// scheduler through it, from wherever they are made. A module names
+/// itself by its registration index in that simulator, fixed when
+/// Simulator::add() bound it.
 class SimContext {
  public:
   /// The owning simulator's event scheduler: a notification marks
@@ -83,22 +83,22 @@ class SimContext {
   /// wake a module that sleeps through clock edges.
   class DirtySink {
    public:
-    virtual void on_module_notified(const Module& m) = 0;
-    virtual void on_module_woken(const Module& m) = 0;
+    virtual void on_module_notified(std::uint32_t idx) = 0;
+    virtual void on_module_woken(std::uint32_t idx) = 0;
 
    protected:
     ~DirtySink() = default;
   };
 
   /// Precise notification from a bound module (Module::notify_state_change).
-  void notify_module(const Module& m) {
-    if (sink_ != nullptr) sink_->on_module_notified(m);
+  void notify_module(std::uint32_t idx) {
+    if (sink_ != nullptr) sink_->on_module_notified(idx);
   }
 
   /// Tick-gating wake from a bound module (Module::wake): catches the
   /// module up and keeps it ticking. Eval state is untouched.
-  void wake_module(const Module& m) {
-    if (sink_ != nullptr) sink_->on_module_woken(m);
+  void wake_module(std::uint32_t idx) {
+    if (sink_ != nullptr) sink_->on_module_woken(idx);
   }
 
   /// Attaches / detaches the scheduler (nullptr to detach). The sink is

@@ -148,34 +148,17 @@ void Simulator::advance() {
     if (needs_full_invalidation()) sched_.wake_all();
   }
   if (policy_ == sched::SchedPolicy::kEventDriven) {
-    const auto n = static_cast<std::uint32_t>(modules_.size());
-    {
-      // The scheduler takes the edge's changes: wires mutated at the edge
-      // (reset callbacks, forced flushes) wake their declared eval readers
-      // precisely, and wake sleeping tick readers — later in registration
-      // order they still tick at this edge.
-      detail::ChangeSinkScope sink(sched_);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (sched_.asleep(i)) continue;  // idle: only time would advance
-        Module* m = modules_[i];
-        sched_.begin_tick(i);
-        m->tick();
-        sched_.end_tick(i, m->tick_idle());
-      }
-      sched_.end_tick_phase();
-    }
+    // The scheduler takes the edge's changes: wires mutated at the edge
+    // (reset callbacks, forced flushes) wake their declared eval readers
+    // precisely, and wake sleeping tick readers — later in registration
+    // order they still tick at this edge.
+    sched_.tick_awake();
     ++cycle_;
     // Precise post-edge invalidation: each module that ticked reports
     // whether this edge touched eval-relevant register state
-    // (conservative default: yes); a sleeper's skipped tick reported no.
-    // Modules that notify through bound setters during tick (e.g. the
-    // CPU stub writing TMU registers) are already enqueued. Modules that
-    // reported idle sleep from here on.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (sched_.asleep(i)) continue;
-      if (modules_[i]->tick_changed_eval_state()) sched_.mark_index_dirty(i);
-      sched_.settle_gate(i);
-    }
+    // (conservative default: yes). Modules that reported idle sleep from
+    // here on.
+    sched_.end_edge();
     // settled_ stays true: the worklist plus the scheduler's unattributed
     // flag carry the edge, so a fully quiet edge settles for free.
     settle_now();
@@ -198,8 +181,22 @@ void Simulator::step() {
   sched_.catch_up_all();
 }
 
+bool Simulator::quiescent() const {
+  // Then advance() settles nothing, runs no callback, ticks nothing and
+  // enqueues nothing: it only counts the cycle, and so does every edge
+  // after it until something outside the kernel acts.
+  return sched_.quiescent() && policy_ == sched::SchedPolicy::kEventDriven &&
+         cycle_callbacks_.empty() && !needs_full_invalidation();
+}
+
 void Simulator::run(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) advance();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (quiescent()) {
+      cycle_ += n - i;
+      break;
+    }
+    advance();
+  }
   sched_.catch_up_all();
 }
 

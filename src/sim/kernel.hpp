@@ -44,15 +44,18 @@ std::string divergence_message(const std::vector<const Module*>& dirty);
 ///    cross-checking and bring-up of exotic netlists.
 ///
 /// Clock edges follow the same split. The full sweep ticks every module
-/// every cycle. The event-driven policy gates tick() on activity: a
-/// module whose tick reported idle (Module::set_tick_idle) sleeps, and
-/// the edge skips both its tick() and its post-edge query until a
-/// declared tick input changes, it is notified or woken, or the kernel
-/// invalidates everything. Skipped ticks are fast-forwarded
-/// (Module::skip_ticks) before the module ticks or evaluates again,
-/// before on_cycle callbacks and run_until predicates, and before any
-/// public call returns, so nothing outside the kernel sees a lagging
-/// module.
+/// every cycle. The event-driven policy gates tick() on activity: an
+/// edge ticks only the scheduler's awake set. A module whose tick
+/// reported idle (Module::set_tick_idle) sleeps, and the edge skips both
+/// its tick() and its post-edge query until a declared tick input
+/// changes, it is notified or woken, or the kernel invalidates
+/// everything; a non-sequential module (Module::is_sequential) never
+/// ticks. Skipped ticks are fast-forwarded (Module::skip_ticks) before
+/// the module ticks or evaluates again, before on_cycle callbacks and
+/// run_until predicates, and before any public call returns, so nothing
+/// outside the kernel sees a lagging module. Once nothing is awake and
+/// nothing is pending, run(n) jumps to the end of the run in O(1) (see
+/// run()).
 ///
 /// The kernel caches the settled state: settle() on a netlist that has
 /// already converged — and untouched since, as this simulator's change
@@ -90,13 +93,7 @@ class Simulator {
   /// settle()/step() after a registered module has been destroyed.
   /// Compound modules (Module::visit_submodules) have their internal
   /// shards registered recursively, right after the facade itself.
-  void add(Module& m) {
-    if (!sched_.register_module(m)) return;
-    m.bind_context(ctx_);
-    modules_.push_back(&m);
-    settled_ = false;
-    m.visit_submodules([this](Module& sub) { add(sub); });
-  }
+  void add(Module& m) { add_under(m, sched::EventScheduler::kNoIndex); }
 
   /// Registers a callback run after every settled cycle (tracing, probes).
   void on_cycle(std::function<void(std::uint64_t)> cb) {
@@ -125,7 +122,13 @@ class Simulator {
   /// Advances one clock cycle: settle, callbacks, then tick.
   void step();
 
-  /// Runs n cycles.
+  /// Runs n cycles. Under the event-driven policy, with no on_cycle
+  /// callback, the run ends in one step as soon as an edge would do
+  /// nothing: every sequential module sleeps, the worklist is empty and
+  /// no invalidation is pending. The cycle counter then moves to the end
+  /// of the run and every sleeper catches up once (Module::skip_ticks),
+  /// which is exactly what the remaining idle edges would have done.
+  /// step() and run_until() advance one edge at a time.
   void run(std::uint64_t n);
 
   /// Runs until pred() is true or the cycle budget is exhausted.
@@ -184,9 +187,23 @@ class Simulator {
   void visit_checkpoint(StateVisitor& v);
 
  private:
+  /// add() under `owner`, the nearest sequential module registered above
+  /// `m` (a non-sequential module reports its edges after its owner's).
+  void add_under(Module& m, std::uint32_t owner) {
+    const auto idx = static_cast<std::uint32_t>(modules_.size());
+    if (!sched_.register_module(m, owner)) return;
+    m.bind_context(ctx_, idx);
+    modules_.push_back(&m);
+    settled_ = false;
+    const std::uint32_t sub_owner = m.is_sequential() ? idx : owner;
+    m.visit_submodules([&](Module& sub) { add_under(sub, sub_owner); });
+  }
+
   /// One clock cycle without the final catch-up: settle, callbacks, the
   /// (gated) tick phase, the post-edge settle.
   void advance();
+  /// Whether advance() would only count the cycle (see run()).
+  bool quiescent() const;
   /// settle() without the catch-up.
   void settle_now();
   bool needs_full_invalidation() const;

@@ -41,6 +41,19 @@ class Module {
   /// a combinational output behind a false here would never propagate.
   virtual bool is_combinational() const { return true; }
 
+  /// Whether the module has clocked state of its own. A compound
+  /// module's shard whose registers all live in its parent (the sharded
+  /// crossbar's MgrShard/SubShard: the facade's tick() commits them and
+  /// sets each shard's edge report) returns false. Under the
+  /// event-driven policy the kernel then never ticks it and never gates
+  /// it, and reads its edge report right after its parent's, at the
+  /// edges the parent ticks at; a sleeping parent has changed nothing.
+  /// A non-sequential module added on its own, with no parent, has no
+  /// edge report: no edge can change what its eval() reads. The full
+  /// sweep still calls its tick() every cycle, so a tick() that changed
+  /// model state would make the two policies diverge.
+  virtual bool is_sequential() const { return true; }
+
   /// Compound modules — a facade that decomposes its work across
   /// internal shard modules (e.g. the sharded AXI crossbar) — override
   /// this to expose the shards. Simulator::add() visits them recursively
@@ -69,8 +82,9 @@ class Module {
   virtual void visit_inputs(InputVisitor& in) { (void)in; }
 
   /// The edge report, read by the event-driven scheduler right after
-  /// every tick(): may this clock edge have changed state that eval()
-  /// depends on? It returns tick_evt_, which starts true: the module is
+  /// every tick() (a non-sequential module's right after its parent's):
+  /// may this clock edge have changed state that eval() depends on? It
+  /// returns tick_evt_, which starts true: the module is
   /// re-evaluated after every edge, exactly like the full sweep. A module
   /// that reports less sets tick_evt_ in tick(), on every path, and false
   /// only when the edge provably left every eval-relevant register
@@ -87,7 +101,10 @@ class Module {
   /// predicates, and before a Simulator call returns. It must leave
   /// exactly the state that `n` idle ticks with unchanged inputs leave
   /// (advance the free-running counters) and must not write wires or
-  /// notify. Only modules that report idle are ever called; the edge
+  /// notify. `n` may span a whole Simulator::run(n): once every module
+  /// sleeps, the kernel jumps to the end of the run and catches every
+  /// sleeper up in one call, so `n` is unbounded and a loop over it is
+  /// not O(1). Only modules that report idle are ever called; the edge
   /// report of a sleeper is already false.
   virtual void skip_ticks(std::uint64_t n) { (void)n; }
 
@@ -106,11 +123,14 @@ class Module {
   const std::string& name() const { return name_; }
 
   /// Binds the module to a simulator's context (called by
-  /// Simulator::add). Held weakly: a module outliving its simulator
-  /// falls back to the free notify_state_change() instead of dangling,
-  /// and destruction order between module and simulator is unconstrained.
-  void bind_context(std::weak_ptr<SimContext> ctx) {
+  /// Simulator::add) under its registration index there, which its
+  /// notifications and wakes carry, so the scheduler never looks it up.
+  /// Held weakly: a module outliving its simulator falls back to the
+  /// free notify_state_change() instead of dangling, and destruction
+  /// order between module and simulator is unconstrained.
+  void bind_context(std::weak_ptr<SimContext> ctx, std::uint32_t index) {
     ctx_ = std::move(ctx);
+    ctx_index_ = index;
   }
   /// The bound simulator's context, or nullptr if unbound / the
   /// simulator is gone.
@@ -127,7 +147,7 @@ class Module {
   /// automatically; this is only for state the wires can't see.
   void notify_state_change() {
     if (auto ctx = ctx_.lock()) {
-      ctx->notify_module(*this);
+      ctx->notify_module(ctx_index_);
     } else {
       sim::notify_state_change();
     }
@@ -154,12 +174,13 @@ class Module {
   /// notify_state_change() also wakes, but only after the mutation.
   /// Between Simulator calls every sleeper is already caught up.
   void wake() {
-    if (auto ctx = ctx_.lock()) ctx->wake_module(*this);
+    if (auto ctx = ctx_.lock()) ctx->wake_module(ctx_index_);
   }
 
  private:
   std::string name_;
   std::weak_ptr<SimContext> ctx_;
+  std::uint32_t ctx_index_ = 0;  ///< registration index under ctx_
   bool tick_idle_ = false;
 
  protected:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <string>
 
 #include "sim/kernel.hpp"
@@ -55,7 +56,7 @@ EventScheduler::EventScheduler(SimContext& ctx, const std::uint64_t& cycle)
 
 EventScheduler::~EventScheduler() { ctx_.attach_dirty_sink(nullptr); }
 
-bool EventScheduler::register_module(Module& m) {
+bool EventScheduler::register_module(Module& m, std::uint32_t owner) {
   const auto idx = static_cast<std::uint32_t>(modules_.size());
   if (!index_of_.try_emplace(&m, idx).second) return false;
   modules_.push_back(&m);
@@ -68,6 +69,14 @@ bool EventScheduler::register_module(Module& m) {
   prof_full_wakes_.push_back(0);
   gate_.push_back(kAwake);
   slept_at_.push_back(0);
+  dependents_.emplace_back();
+  if (idx % 64 == 0) awake_.push_back(0);
+  if (m.is_sequential()) {
+    awake_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+    ++sequential_count_;
+  } else if (owner != kNoIndex) {
+    dependents_[owner].push_back(idx);
+  }
   FanoutBuilder edges(*this, idx, combinational_[idx] != 0);
   m.visit_inputs(edges);
   // Tick-only modules never evaluate, so they need no eval wakes.
@@ -150,20 +159,10 @@ void EventScheduler::on_wire_write(std::uint64_t& slot) {
   }
 }
 
-void EventScheduler::on_module_notified(const Module& m) {
+void EventScheduler::on_module_notified(std::uint32_t idx) {
   notified_ = true;
-  const auto it = index_of_.find(&m);
-  if (it != index_of_.end()) {
-    if (combinational_[it->second] != 0) {
-      enqueue(it->second, WakeCause::kNotify);
-    }
-    wake(it->second);
-  }
-}
-
-void EventScheduler::on_module_woken(const Module& m) {
-  const auto it = index_of_.find(&m);
-  if (it != index_of_.end()) wake(it->second);
+  if (combinational_[idx] != 0) enqueue(idx, WakeCause::kNotify);
+  wake(idx);
 }
 
 void EventScheduler::catch_up(std::uint32_t idx) {
@@ -181,8 +180,54 @@ void EventScheduler::wake(std::uint32_t idx) {
   if (gate_[idx] == kAsleep) {
     catch_up(idx);
     --asleep_count_;
+    awake_[idx / 64] |= std::uint64_t{1} << (idx % 64);
   }
   gate_[idx] = kAwake;
+}
+
+std::uint32_t EventScheduler::next_awake(std::uint32_t idx) const {
+  std::size_t w = idx / 64;
+  if (w >= awake_.size()) return kNoIndex;
+  std::uint64_t bits = awake_[w] & (~std::uint64_t{0} << (idx % 64));
+  while (bits == 0) {
+    if (++w == awake_.size()) return kNoIndex;
+    bits = awake_[w];
+  }
+  return static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+}
+
+void EventScheduler::tick_awake() {
+  detail::ChangeSinkScope sink(*this);
+  for (std::uint32_t i = next_awake(0); i != kNoIndex; i = next_awake(i + 1)) {
+    Module* m = modules_[i];
+    cursor_ = i;
+    gate_[i] = kDrowsy;
+    m->tick();
+    if (!m->tick_idle()) gate_[i] = kAwake;
+  }
+  cursor_ = 0;
+}
+
+void EventScheduler::report(std::uint32_t idx) {
+  if (combinational_[idx] != 0 && modules_[idx]->tick_changed_eval_state()) {
+    enqueue(idx, WakeCause::kTick);
+  }
+}
+
+void EventScheduler::end_edge() {
+  // Modules that notify through bound setters during tick (e.g. the CPU
+  // stub writing TMU registers) are already enqueued; a sleeper's
+  // skipped tick reported no change.
+  for (std::uint32_t i = next_awake(0); i != kNoIndex; i = next_awake(i + 1)) {
+    report(i);
+    for (const std::uint32_t d : dependents_[i]) report(d);
+    if (gate_[i] == kDrowsy) {
+      gate_[i] = kAsleep;
+      slept_at_[i] = cycle_;
+      ++asleep_count_;
+      awake_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    }
+  }
 }
 
 void EventScheduler::catch_up_all() {

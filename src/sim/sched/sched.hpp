@@ -60,19 +60,29 @@ struct SchedStats {
 /// (a free notify_state_change() then) is only flagged (unattributed());
 /// the kernel falls back to mark_all_dirty() on the next settle.
 ///
-/// Tick gating: a module whose tick() reports idle (Module::set_tick_idle)
-/// sleeps from the next edge on — the kernel skips its tick() and its
-/// post-edge query. Its declared tick inputs form a second fan-out beside
-/// the eval one; a value change on one, a notification, Module::wake() or
-/// wake_all() wakes it, after catch_up() fast-forwarded the skipped ticks
-/// (Module::skip_ticks). Skipped ticks are counted against the kernel's
-/// cycle counter and the tick loop's cursor, so a module woken during the
-/// tick phase by a module later in registration order is credited with
-/// the idle tick it missed this cycle, and one woken by an earlier module
-/// still ticks this cycle. Nothing about sleep is serialized.
+/// Tick gating: the edge ticks the awake set, a bitset over registration
+/// indices walked in registration order, and nothing else. A module whose
+/// tick() reports idle (Module::set_tick_idle) leaves the set at the end
+/// of the edge and sleeps — the kernel skips its tick() and its post-edge
+/// query. Its declared tick inputs form a second fan-out beside the eval
+/// one; a value change on one, a notification, Module::wake() or
+/// wake_all() puts it back, after catch_up() fast-forwarded the skipped
+/// ticks (Module::skip_ticks). Skipped ticks are counted against the
+/// kernel's cycle counter and the tick loop's cursor, so a module woken
+/// during the tick phase by a module later in registration order is
+/// credited with the idle tick it missed this cycle, and one woken by an
+/// earlier module still ticks this cycle. Non-sequential modules
+/// (Module::is_sequential) are never in the set and never gated; each
+/// one's edge report is read right after its owner's — the nearest
+/// sequential module it was registered under. Nothing about sleep is
+/// serialized.
 class EventScheduler final : public ChangeSink,
                              public SimContext::DirtySink {
  public:
+  /// No module: the owner of a module registered with no parent, and the
+  /// end of an awake-set walk.
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+
   /// `cycle` is the owning kernel's cycle counter: the number of edges
   /// every awake module has ticked outside the tick phase.
   EventScheduler(SimContext& ctx, const std::uint64_t& cycle);
@@ -85,19 +95,16 @@ class EventScheduler final : public ChangeSink,
   /// declared inputs in one visit, and marks it dirty. Returns false (and
   /// does nothing) when `m` is already registered here. Registration
   /// order is the drain's tie-break order, mirroring the full sweep; a
-  /// module's index is its registration position.
-  bool register_module(Module& m);
+  /// module's index is its registration position. A sequential module
+  /// joins the awake set. A non-sequential one reports its edges after
+  /// `owner`'s: the index of the nearest sequential module it was
+  /// registered under, or kNoIndex.
+  bool register_module(Module& m, std::uint32_t owner);
 
   /// Enqueues every combinational module (resets, external writes,
   /// policy switches — anything that can change state behind the wires'
   /// backs and can't name the affected modules).
   void mark_all_dirty();
-
-  /// Enqueues one module by its registration index (no-op for tick-only
-  /// modules). The kernel's precise post-edge invalidation.
-  void mark_index_dirty(std::uint32_t idx) {
-    if (combinational_[idx] != 0) enqueue(idx, WakeCause::kTick);
-  }
 
   bool has_dirty() const { return head_ != queue_.size(); }
 
@@ -117,27 +124,23 @@ class EventScheduler final : public ChangeSink,
 
   const SchedStats& stats() const { return stats_; }
 
-  // ---- Tick gating (the kernel's event-driven tick loop) ----
+  // ---- Tick gating (the kernel's event-driven clock edge) ----
 
-  bool asleep(std::uint32_t idx) const { return gate_[idx] == kAsleep; }
-  /// Brackets one awake module's tick(): a module reporting idle dozes
-  /// (falls asleep at settle_gate), unless woken during its own tick.
-  void begin_tick(std::uint32_t idx) {
-    cursor_ = idx;
-    gate_[idx] = kDrowsy;
-  }
-  void end_tick(std::uint32_t idx, bool idle) {
-    if (!idle) gate_[idx] = kAwake;
-  }
-  void end_tick_phase() { cursor_ = 0; }
-  /// Post-edge, after the kernel advanced its cycle: a dozing module
-  /// sleeps from this cycle on.
-  void settle_gate(std::uint32_t idx) {
-    if (gate_[idx] == kDrowsy) {
-      gate_[idx] = kAsleep;
-      slept_at_[idx] = cycle_;
-      ++asleep_count_;
-    }
+  /// The edge's tick phase, with this scheduler as the change sink:
+  /// ticks every module in the awake set, in registration order. A
+  /// module woken during the phase ticks at this edge when it comes
+  /// later in registration order than the module ticking now. A module
+  /// reporting idle dozes until end_edge(), unless woken meanwhile.
+  void tick_awake();
+  /// After the kernel advanced its cycle: enqueues each module of the
+  /// awake set whose edge report is an eval-relevant change, with its
+  /// non-sequential dependents' reports read right after its own, and
+  /// puts the dozing modules to sleep from this cycle on.
+  void end_edge();
+  /// Whether an edge would tick nothing and drain nothing: the awake set
+  /// and the worklist are both empty.
+  bool quiescent() const {
+    return asleep_count_ == sequential_count_ && !has_dirty();
   }
   /// Brings every sleeper's skipped ticks up to date; they stay asleep.
   void catch_up_all();
@@ -170,8 +173,8 @@ class EventScheduler final : public ChangeSink,
 
   void on_wire_write(std::uint64_t& slot) override;
   void on_unattributed_change() override { unattributed_ = true; }
-  void on_module_notified(const Module& m) override;
-  void on_module_woken(const Module& m) override;
+  void on_module_notified(std::uint32_t idx) override;
+  void on_module_woken(std::uint32_t idx) override { wake(idx); }
 
   /// Whether `slot` names a wire in this scheduler's fan-out table.
   bool owns(std::uint64_t slot) const;
@@ -181,6 +184,12 @@ class EventScheduler final : public ChangeSink,
   void add_edge(std::uint64_t& slot, std::uint32_t reader);
   void add_tick_edge(std::uint64_t& slot, std::uint32_t reader);
   void enqueue(std::uint32_t idx, WakeCause cause);
+  /// The post-edge invalidation of one module: enqueued when its edge
+  /// report says the edge touched eval-relevant state.
+  void report(std::uint32_t idx);
+  /// The first member of the awake set at or after `idx`, or kNoIndex.
+  /// Re-reads the set, so a walk sees modules woken behind its cursor.
+  std::uint32_t next_awake(std::uint32_t idx) const;
   void catch_up(std::uint32_t idx);
   void wake(std::uint32_t idx);
   [[noreturn]] void throw_divergence();
@@ -189,6 +198,8 @@ class EventScheduler final : public ChangeSink,
   const std::uint64_t tag_;  ///< this scheduler's wire-slot owner tag
 
   std::vector<Module*> modules_;
+  /// Registration-time duplicate check only: bound modules name
+  /// themselves by index (Module::bind_context).
   std::unordered_map<const Module*, std::uint32_t> index_of_;
   std::vector<char> combinational_;
 
@@ -215,17 +226,23 @@ class EventScheduler final : public ChangeSink,
   bool notified_ = false;
   SchedStats stats_;
 
-  // Tick gating. A module is awake, drowsy (reported idle this tick
-  // phase; asleep from the post-edge query loop on) or asleep since
-  // slept_at_ (the first edge it skipped). cursor_ is the module ticking
-  // now during the tick phase, 0 otherwise: a sleeper below it has been
-  // passed this edge.
+  // Tick gating. A sequential module is awake, drowsy (reported idle
+  // this tick phase; asleep from end_edge() on) or asleep since
+  // slept_at_ (the first edge it skipped); awake_ holds a bit for each
+  // awake or drowsy one. A non-sequential module stays kAwake outside
+  // the set, which makes every wake a no-op for it. dependents_[i] lists
+  // the non-sequential modules owned by module i, in registration order.
+  // cursor_ is the module ticking now during the tick phase, 0
+  // otherwise: a sleeper below it has been passed this edge.
   enum Gate : char { kAwake, kDrowsy, kAsleep };
   const std::uint64_t& cycle_;
   std::vector<char> gate_;
   std::vector<std::uint64_t> slept_at_;
+  std::vector<std::uint64_t> awake_;
+  std::vector<std::vector<std::uint32_t>> dependents_;
   std::uint32_t cursor_ = 0;
   std::uint32_t asleep_count_ = 0;
+  std::uint32_t sequential_count_ = 0;
 
   // Profiler state: one slot per module, registration order. An enqueue
   // attributes its cause to the woken module; evals are attributed in

@@ -16,6 +16,13 @@ namespace soc {
 /// the TMU interrupt, runs a handler (fixed latency), reads the fault
 /// log through the TMU register file, clears the interrupt and counts
 /// the event. One stub can service several TMUs via the PLIC-lite.
+///
+/// Tick gating: idle with nothing to claim, the stub sleeps, and the
+/// PLIC wakes it when a source latches (IrqController::on_latch). The
+/// PLIC's source wires would not do as tick inputs: a stub registered
+/// before the PLIC would wake on the wire, find nothing to claim at that
+/// edge and sleep through the latch that follows it. The PLIC keeps the
+/// stub's wake-up, so it must not tick after the stub is destroyed.
 class CpuRecoveryStub : public sim::Module {
  public:
   CpuRecoveryStub(std::string name, IrqController& plic,
@@ -24,13 +31,19 @@ class CpuRecoveryStub : public sim::Module {
       : sim::Module(std::move(name)),
         plic_(plic),
         tmus_(std::move(tmus)),
-        handler_latency_(handler_latency) {}
+        handler_latency_(handler_latency) {
+    plic_.on_latch([this] { wake(); });
+  }
 
   /// Runs its handler state machine in tick() only; schedulers skip it
   /// in settle.
   bool is_combinational() const override { return false; }
 
   void tick() override {
+    // An empty claim changes nothing, so until the PLIC latches a source
+    // every tick repeats it: asleep, skip_ticks() has nothing to catch
+    // up.
+    set_tick_idle(false);
     switch (state_) {
       case State::kIdle: {
         const int src = plic_.claim();
@@ -38,6 +51,8 @@ class CpuRecoveryStub : public sim::Module {
           current_ = static_cast<std::size_t>(src);
           count_ = 0;
           state_ = State::kHandling;
+        } else {
+          set_tick_idle(true);
         }
         break;
       }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,22 @@ class IrqController : public sim::Module {
     return sources_.size() - 1;
   }
 
+  /// Sets the claimant's wake-up: called from tick() at every edge that
+  /// latches a source newly pending. A claimant that sleeps while
+  /// claim() finds nothing (CpuRecoveryStub) wakes through it at the
+  /// latching edge, so it claims at the edge it would have claimed at
+  /// had it polled every cycle, whichever of the two ticks first.
+  void on_latch(std::function<void()> wake) { on_latch_ = std::move(wake); }
+
   void tick() override {
+    bool latched = false;
     for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (sources_[i]->read() && !claimed_[i]) pending_[i] = true;
+      if (sources_[i]->read() && !claimed_[i] && !pending_[i]) {
+        pending_[i] = true;
+        latched = true;
+      }
     }
+    if (latched && on_latch_) on_latch_();
     // Every unclaimed high source is latched now: the next tick repeats
     // this one until a source toggles or complete() releases a claim.
     set_tick_idle(true);
@@ -79,6 +92,7 @@ class IrqController : public sim::Module {
   std::vector<sim::Wire<bool>*> sources_;
   std::vector<bool> pending_;
   std::vector<bool> claimed_;
+  std::function<void()> on_latch_;
 };
 
 }  // namespace soc

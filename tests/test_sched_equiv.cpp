@@ -753,6 +753,29 @@ TEST(TickGating, IdleCheshireSleepsAndPushWakes) {
   EXPECT_EQ(asleep_count(full->sim()), 0u);
 }
 
+// The quiescence jump needs every module that ticks to sleep: on an idle
+// Cheshire only the crossbar shards, which never tick, stay out of sleep,
+// and a run of a trillion cycles then returns at once.
+TEST(TickGating, IdleCheshireJumpsToTheEndOfARun) {
+  soc::SocDesc d = idle_cheshire();
+  d.policy = SchedPolicy::kEventDriven;
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(d);
+  soc->sim().run(100);
+  for (const sim::sched::ModuleProfile& mp :
+       soc->sim().sched_profile().modules) {
+    const bool shard = mp.name.rfind("xbar.", 0) == 0;
+    EXPECT_EQ(mp.asleep, !shard) << mp.name;
+  }
+  ASSERT_EQ(asleep_count(soc->sim()), 18u);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  const std::uint64_t evals = soc->sim().module_evals();
+  soc->sim().run(1'000'000'000'000);
+  EXPECT_EQ(soc->sim().cycle(), 100 + 1'000'000'000'000);
+  EXPECT_EQ(soc->sim().module_evals(), evals);
+  EXPECT_EQ(asleep_count(soc->sim()), 18u);
+}
+
 // The tick-side analogue of SimSettleEventDriven.UndeclaredInputDiverges-
 // FromFullSweep: a sleeping module is woken only by the tick inputs it
 // declares. The counter below reports idle after every tick; the copy

@@ -499,6 +499,98 @@ TEST(SimSettleEventDriven, PolicySwitchMidRunStaysConsistent) {
   EXPECT_EQ(f.q.read(), 15);
 }
 
+// ---------------------------------------------------------------------
+// Pending work blocks the quiescence jump of run(n) for the edge that
+// does it; the rest of the run still jumps. Each run below spans a
+// trillion cycles, so it finishes only if it jumps.
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kLongRun = 1'000'000'000'000;
+
+// A gated register: drives its value, sleeps after every tick, and
+// counts its ticks and its caught-up cycles.
+class IdleReg : public sim::Module {
+ public:
+  IdleReg(std::string name, sim::Wire<int>& out)
+      : sim::Module(std::move(name)), out_(out) {}
+  void eval() override { out_.write(value_); }
+  void tick() override {
+    ++ticks;
+    tick_evt_ = false;
+    set_tick_idle(true);
+  }
+  void skip_ticks(std::uint64_t n) override { skipped += n; }
+
+  int ticks = 0;
+  std::uint64_t skipped = 0;
+
+ private:
+  sim::Wire<int>& out_;
+  int value_ = 0;
+};
+
+// A combinational driver with no clocked state: it never ticks and is
+// never awake, so a notification only puts it on the worklist.
+class Knob : public sim::Module {
+ public:
+  Knob(std::string name, sim::Wire<int>& out)
+      : sim::Module(std::move(name)), out_(out) {}
+  bool is_sequential() const override { return false; }
+  void eval() override { out_.write(value_); }
+  void set(int v) {
+    value_ = v;
+    notify_state_change();
+  }
+
+ private:
+  sim::Wire<int>& out_;
+  int value_ = 0;
+};
+
+TEST(SimSettleEventDriven, PendingWorklistEntryBlocksTheJumpForOneEdge) {
+  sim::Wire<int> r, k;
+  IdleReg reg("reg", r);
+  Knob knob("knob", k);
+  sim::Simulator s;
+  s.add(reg);
+  s.add(knob);
+  s.reset();
+  s.run(10);
+  ASSERT_EQ(reg.ticks, 1);
+  ASSERT_EQ(reg.skipped, 9u);
+
+  const std::uint64_t e0 = s.module_evals();
+  knob.set(4);
+  s.run(kLongRun);
+  EXPECT_EQ(k.read(), 4);
+  EXPECT_EQ(s.module_evals() - e0, 1u);  // drained at the first edge
+  EXPECT_EQ(reg.ticks, 1);               // which woke nobody
+  EXPECT_EQ(reg.skipped, 9 + kLongRun);
+  EXPECT_EQ(s.cycle(), 10 + kLongRun);
+}
+
+TEST(SimSettleEventDriven, AmbientWriteBlocksTheJumpForOneEdge) {
+  sim::Wire<int> r, tb;
+  IdleReg reg("reg", r);
+  sim::Simulator s;
+  s.add(reg);
+  s.reset();
+  s.run(10);
+
+  const std::uint64_t e0 = s.module_evals();
+  tb.write(1);  // names no module: everything re-evaluates and wakes
+  s.run(kLongRun);
+  EXPECT_EQ(s.module_evals() - e0, 1u);
+  EXPECT_EQ(reg.ticks, 2);  // at the first edge only
+  EXPECT_EQ(reg.skipped, 9 + kLongRun - 1);
+
+  tb.write(1);  // no value change: nothing to invalidate
+  s.run(kLongRun);
+  EXPECT_EQ(s.module_evals() - e0, 1u);
+  EXPECT_EQ(reg.ticks, 2);
+  EXPECT_EQ(s.cycle(), 10 + 2 * kLongRun);
+}
+
 TEST(SimSettleEventDriven, StatsReportWiresAndEdges) {
   CounterFixture f;
   const sim::sched::SchedStats& st = f.s.sched_stats();
