@@ -3,14 +3,34 @@
 // monolithic reference eval (XbarImpl::kMonolithic) on every external
 // link, every cycle — through random traffic, decode errors, injected
 // handshake faults on both sides of the crossbar, busy -> idle -> busy
-// transitions, and scheduler-policy toggling. This is the lockstep gate
-// scripts/check.sh runs alongside test_sched_equiv.
+// transitions, scheduler-policy toggling, crossbars wider than one
+// 64-bit occupancy word, a reset mid-traffic, and restores from a
+// mid-burst capture. This is the lockstep gate scripts/check.sh runs
+// alongside test_sched_equiv.
+//
+// Golden link digests (tests/data/xbar_goldens/hashes.txt): a
+// trace::Recorder on every external link of both netlists captures the
+// tmu-axi-trace-v1 stream, and each scenario pins one fnv1a64 digest
+// per link. The monolithic and the sharded netlist must both reproduce
+// every pinned digest, so the goldens keep the sharded crossbar honest
+// without the monolithic oracle. Setting TMU_XBAR_GOLDENS_OUT=<dir>
+// also writes this run's digests to <dir>/hashes.txt (the comparison
+// still runs), which is how a deliberate behaviour change re-pins them;
+// run the whole binary so that every scenario contributes.
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axi/crossbar.hpp"
@@ -18,9 +38,13 @@
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
 #include "fault/injector.hpp"
+#include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "sim/logger.hpp"
 #include "sim/random.hpp"
+#include "sim/state.hpp"
+#include "trace/format.hpp"
+#include "trace/recorder.hpp"
 
 namespace {
 
@@ -34,12 +58,92 @@ const bool g_quiet = [] {
   return true;
 }();
 
+// ---------------------------------------------------------------------------
+// Golden link digests
+// ---------------------------------------------------------------------------
+
+const std::string kGoldenFile =
+    std::string(TMU_TEST_DATA_DIR) + "/xbar_goldens/hashes.txt";
+
+/// The pinned digests, and every digest this run produced (in order,
+/// for re-pinning).
+class Goldens {
+ public:
+  static Goldens& get() {
+    static Goldens g;
+    return g;
+  }
+
+  /// Expects `mono` and `shard` — one link's digest from each netlist —
+  /// to equal the digest pinned under `key`.
+  void check(const std::string& key, std::uint64_t mono, std::uint64_t shard) {
+    seen_.emplace_back(key, mono);
+    EXPECT_EQ(shard, mono) << key << ": sharded stream differs";
+    const auto it = pinned_.find(key);
+    if (it == pinned_.end()) {
+      ADD_FAILURE() << key << ": no pinned digest in " << kGoldenFile;
+      return;
+    }
+    EXPECT_EQ(mono, it->second) << key << ": digest moved";
+  }
+
+  void write(const std::string& dir) const {
+    std::ofstream out(dir + "/hashes.txt", std::ios::binary);
+    for (const auto& [key, digest] : seen_) {
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
+      out << key << ' ' << hex << '\n';
+    }
+  }
+
+ private:
+  Goldens() {
+    std::ifstream in(kGoldenFile);
+    std::string key, hex;
+    while (in >> key >> hex) {
+      pinned_[key] = std::strtoull(hex.c_str(), nullptr, 16);
+    }
+  }
+
+  std::map<std::string, std::uint64_t> pinned_;
+  std::vector<std::pair<std::string, std::uint64_t>> seen_;
+};
+
+class GoldenRepin : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (const char* dir = std::getenv("TMU_XBAR_GOLDENS_OUT")) {
+      Goldens::get().write(dir);
+    }
+  }
+};
+::testing::Environment* const g_repin =
+    ::testing::AddGlobalTestEnvironment(new GoldenRepin);
+
+// ---------------------------------------------------------------------------
+// Netlist
+// ---------------------------------------------------------------------------
+
+struct SaveBytes final : sim::StateVisitor {
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::logic_error(msg);
+  }
+};
+
+struct LoadBytes final : sim::StateVisitor {
+  using StateVisitor::StateVisitor;
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::runtime_error(msg);
+  }
+};
+
 /// n_m generators -> crossbar -> n_s memories, each memory owning a
 /// 64 KiB window; random traffic spills one window past the map so
 /// DECERR paths are exercised too. A fault injector sits on manager 0's
 /// request path and another between the crossbar and subordinate 0, so
 /// injected faults hit the crossbar's arbitration and response muxes
-/// identically in both implementations.
+/// identically in both implementations. A recorder samples every
+/// external link.
 struct XbarNet {
   unsigned n_m, n_s;
   std::vector<std::unique_ptr<Link>> links;
@@ -50,6 +154,7 @@ struct XbarNet {
   fault::FaultInjector inj_m;
   fault::FaultInjector inj_s;
   std::unique_ptr<Crossbar> xbar;
+  std::vector<std::unique_ptr<trace::Recorder>> recs;
   sim::Simulator s;
 
   std::vector<Link*> mgr_ports, sub_ports;
@@ -86,11 +191,20 @@ struct XbarNet {
     }
     xbar = std::make_unique<Crossbar>("xbar", mgr_ports, sub_ports, map,
                                       /*id_shift=*/8, impl);
+    for (unsigned m = 0; m < n_m; ++m) {
+      record("mgr" + std::to_string(m), *mgr_ports[m]);
+    }
+    for (unsigned j = 0; j < n_s; ++j) {
+      record("sub" + std::to_string(j), *sub_ports[j]);
+    }
+    record("l_gen0", l_gen0);
+    record("l_mem0", l_mem0);
     for (auto& g : gens) s.add(*g);
     s.add(inj_m);
     s.add(*xbar);
     s.add(inj_s);
     for (auto& m : mems) s.add(*m);
+    for (auto& r : recs) s.add(*r);
     s.reset();
   }
 
@@ -99,14 +213,24 @@ struct XbarNet {
     return *links.back();
   }
 
-  void set_traffic(bool on) {
+  void record(const std::string& link_name, Link& l) {
+    recs.push_back(
+        std::make_unique<trace::Recorder>("rec_" + link_name, link_name, l));
+  }
+
+  /// Random traffic on every generator, or only on those in `active`.
+  void set_traffic(bool on, const std::vector<unsigned>& active = {}) {
     RandomTrafficConfig rc;
-    rc.enabled = on;
     rc.p_new_txn = 0.3;
     rc.len_max = 7;
     // One extra (unmapped) window: ~1/(n_s+1) of traffic DECERRs.
     rc.addr_max = (n_s + 1) * 0x1'0000ull - 8;
-    for (auto& g : gens) g->set_random(rc);
+    for (unsigned i = 0; i < n_m; ++i) {
+      bool listed = active.empty();
+      for (const unsigned a : active) listed = listed || a == i;
+      rc.enabled = on && listed;
+      gens[i]->set_random(rc);
+    }
   }
 
   std::size_t completed() const {
@@ -117,6 +241,57 @@ struct XbarNet {
 
   fault::FaultInjector& injector_for(fault::FaultPoint p) {
     return fault::is_manager_side(p) ? inj_m : inj_s;
+  }
+
+  /// Some external link is inside a W or R burst (a beat that is not
+  /// the last one is on the wires).
+  bool mid_burst() const {
+    for (const auto& l : links) {
+      const AxiReq& q = l->req.read();
+      const AxiRsp& r = l->rsp.read();
+      if ((q.w_valid && !q.w.last) || (r.r_valid && !r.r.last)) return true;
+    }
+    return false;
+  }
+
+  /// The whole netlist's state in the snapshot layer's walk order:
+  /// simulator checkpoint, link wires, then every registered module
+  /// (the crossbar's shards included).
+  void visit_state(sim::StateVisitor& v) {
+    s.visit_checkpoint(v);
+    for (const auto& l : links) {
+      visit(v, l->req);
+      visit(v, l->rsp);
+    }
+    for (Link* l : {&l_gen0, &l_mem0}) {
+      visit(v, l->req);
+      visit(v, l->rsp);
+    }
+    for (sim::Module* m : s.modules()) m->visit_state(v);
+  }
+
+  std::vector<unsigned char> capture() {
+    s.settle();
+    SaveBytes v;
+    visit_state(v);
+    return v.take_bytes();
+  }
+
+  void restore(const std::vector<unsigned char>& image) {
+    LoadBytes v(image.data(), image.size());
+    visit_state(v);
+    ASSERT_EQ(v.consumed(), image.size());
+  }
+
+  /// One digest per recorded link, in recorder order.
+  std::vector<std::pair<std::string, std::uint64_t>> digests() const {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& r : recs) {
+      EXPECT_EQ(r->drop_count(), 0u) << r->buffer().link;
+      out.emplace_back(r->buffer().link,
+                       sim::bytes::fnv1a64(trace::encode_trace(r->buffer())));
+    }
+    return out;
   }
 };
 
@@ -143,17 +318,38 @@ void expect_wires_equal(const XbarNet& a, const XbarNet& b,
   expect_links_equal(a.l_mem0, b.l_mem0, "l_mem0", cycle);
 }
 
-/// One fuzzed lockstep scenario: random traffic with decode errors, one
-/// fault armed/disarmed mid-run, then busy -> idle -> busy.
-void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed) {
+/// Checks every link digest of the scenario against the goldens.
+void check_goldens(const std::string& scenario, const XbarNet& mono,
+                   const XbarNet& shard) {
+  const auto want = mono.digests();
+  const auto got = shard.digests();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].first, got[i].first);
+    Goldens::get().check(scenario + "/" + want[i].first, want[i].second,
+                         got[i].second);
+  }
+}
+
+std::string grid_name(const char* kind, unsigned n_m, unsigned n_s,
+                      std::uint64_t seed) {
+  return std::string(kind) + "_" + std::to_string(n_m) + "x" +
+         std::to_string(n_s) + "_s" + std::to_string(seed);
+}
+
+/// One fuzzed lockstep scenario: random traffic (on the `active`
+/// generators, or all) with decode errors, one fault armed/disarmed
+/// mid-run, then busy -> idle -> busy.
+void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed,
+                  const std::vector<unsigned>& active = {}) {
   SCOPED_TRACE("grid=" + std::to_string(n_m) + "x" + std::to_string(n_s) +
                " seed=" + std::to_string(seed));
   sim::Rng rng(seed);
 
   XbarNet mono(n_m, n_s, XbarImpl::kMonolithic, seed);
   XbarNet shard(n_m, n_s, XbarImpl::kSharded, seed);
-  mono.set_traffic(true);
-  shard.set_traffic(true);
+  mono.set_traffic(true, active);
+  shard.set_traffic(true, active);
 
   constexpr fault::FaultPoint kPoints[] = {
       fault::FaultPoint::kAwReadyStuck, fault::FaultPoint::kWReadyStuck,
@@ -183,8 +379,8 @@ void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed) {
       shard.set_traffic(false);
     }
     if (c == resume_at) {
-      mono.set_traffic(true);
-      shard.set_traffic(true);
+      mono.set_traffic(true, active);
+      shard.set_traffic(true, active);
     }
     mono.s.step();
     shard.s.step();
@@ -193,20 +389,32 @@ void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed) {
         << "decode_errors diverged at cycle " << c;
     ASSERT_EQ(mono.completed(), shard.completed())
         << "traffic diverged at cycle " << c;
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(mono.completed(), 0u);
   EXPECT_GT(mono.xbar->decode_errors(), 0u);  // the DECERR path ran
+  check_goldens(grid_name("lockstep", n_m, n_s, seed), mono, shard);
 }
 
 TEST(XbarShardEquiv, LockstepFuzzThroughFaultsAndIdle) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull, 0xC0FFEEull}) {
     run_lockstep(3, 2, seed);
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
   run_lockstep(1, 4, 11);
   run_lockstep(4, 1, 12);
   run_lockstep(8, 6, 13);
+}
+
+// More than 64 managers or subordinates: the shards' occupancy masks
+// span two 64-bit words, and ports 63 and 64 sit on either side of the
+// word boundary. Wide manager sets keep a few generators active.
+TEST(XbarShardEquiv, LockstepWiderThanOneMaskWord) {
+  run_lockstep(70, 3, 21, {0, 1, 62, 63, 64, 69});
+  if (::testing::Test::HasFatalFailure()) return;
+  run_lockstep(3, 70, 22);
+  if (::testing::Test::HasFatalFailure()) return;
+  run_lockstep(66, 65, 23, {0, 63, 64, 65});
 }
 
 // The shards must stay exact under the full-sweep kernel too, and under
@@ -228,9 +436,82 @@ TEST(XbarShardEquiv, PolicyTogglingMatchesMonolithic) {
     ASSERT_EQ(mono.s.cycle(), shard.s.cycle());
     expect_wires_equal(mono, shard, mono.s.cycle());
     ASSERT_EQ(mono.completed(), shard.completed());
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(mono.completed(), 0u);
+  check_goldens("policy_3x2_s99", mono, shard);
+}
+
+// Simulator::reset() in the middle of bursts: every register, grant
+// queue and internal shard wire returns to its power-on value, and the
+// traffic that follows is exact again.
+TEST(XbarShardEquiv, ResetMidTrafficMatchesMonolithic) {
+  XbarNet mono(5, 4, XbarImpl::kMonolithic, 31);
+  XbarNet shard(5, 4, XbarImpl::kSharded, 31);
+  mono.set_traffic(true);
+  shard.set_traffic(true);
+  std::uint64_t c = 0;
+  for (; c < 300 || !mono.mid_burst(); ++c) {
+    ASSERT_LT(c, 2000u) << "no burst in flight to reset";
+    mono.s.step();
+    shard.s.step();
+    expect_wires_equal(mono, shard, c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  mono.s.reset();
+  shard.s.reset();
+  expect_wires_equal(mono, shard, c);
+  for (const std::uint64_t end = c + 500; c < end; ++c) {
+    mono.s.step();
+    shard.s.step();
+    expect_wires_equal(mono, shard, c);
+    ASSERT_EQ(mono.completed(), shard.completed());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(mono.completed(), 0u);
+  check_goldens("reset_5x4_s31", mono, shard);
+}
+
+// A busy sharded netlist captured mid-burst and restored — into a fresh
+// netlist and into one that ran traffic of its own first, whose shards
+// hold different bookkeeping — runs wire-exact with the uninterrupted
+// netlist. Wide enough that the masks span two words.
+TEST(XbarShardEquiv, RestoredMidBurstMatchesUninterrupted) {
+  constexpr unsigned kM = 66, kS = 3;
+  const std::vector<unsigned> active = {0, 5, 63, 64, 65};
+  XbarNet live(kM, kS, XbarImpl::kSharded, 41);
+  live.set_traffic(true, active);
+  live.s.run(200);
+  for (int i = 0; i < 2000 && !live.mid_burst(); ++i) live.s.step();
+  ASSERT_TRUE(live.mid_burst());
+  const std::vector<unsigned char> image = live.capture();
+
+  XbarNet fresh(kM, kS, XbarImpl::kSharded, 41);
+  XbarNet used(kM, kS, XbarImpl::kSharded, 43);
+  used.set_traffic(true, {1, 2, 62, 64});
+  used.s.run(321);
+  fresh.restore(image);
+  used.restore(image);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(fresh.s.cycle(), live.s.cycle());
+  ASSERT_EQ(used.s.cycle(), live.s.cycle());
+
+  for (std::uint64_t c = 0; c < 500; ++c) {
+    live.s.step();
+    fresh.s.step();
+    used.s.step();
+    expect_wires_equal(live, fresh, c);
+    expect_wires_equal(live, used, c);
+    ASSERT_EQ(live.completed(), fresh.completed());
+    ASSERT_EQ(live.completed(), used.completed());
+    ASSERT_EQ(live.s.module_evals(), fresh.s.module_evals());
+    ASSERT_EQ(live.s.module_evals(), used.s.module_evals());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(fresh.digests(), live.digests());
+  EXPECT_EQ(used.digests(), live.digests());
+  EXPECT_EQ(fresh.capture(), live.capture());
+  EXPECT_EQ(used.capture(), live.capture());
 }
 
 // An idle sharded crossbar costs zero evals: after the netlist drains,
