@@ -180,6 +180,40 @@ void print_scaling_knee() {
 }
 
 // ------------------------------------------------------------------
+// Idle-port sweep: a fixed amount of traffic (8 active managers) on ever
+// wider crossbars. The shards scan only the internal wires their
+// occupancy masks mark and the edge commit visits only live manager
+// ports, so the per-cycle cost should grow far more slowly than the
+// port count.
+// ------------------------------------------------------------------
+
+void print_idle_port_sweep() {
+  bench::header(
+      "Idle-port sweep — 8 active managers on ever wider crossbars",
+      "event-driven + sharded crossbar; the idle ports add module count, "
+      "not per-cycle crossbar work");
+  std::printf("%6s %6s %7s %7s %13s %11s %12s\n", "mgrs", "subs", "ports",
+              "active", "cycles/s", "ns/cycle", "cost vs 1st");
+  bench::rule(74);
+  constexpr std::uint64_t kCycles = 4000;
+  constexpr unsigned kActive = 8;
+  const unsigned grid[][2] = {{32, 24}, {64, 48}, {128, 96}};
+  double first_ns = 0;
+  for (const auto& [n_mgr, n_sub] : grid) {
+    const double rate =
+        grid_rate(n_mgr, n_sub, kActive, SchedPolicy::kEventDriven,
+                  axi::XbarImpl::kSharded, kCycles);
+    const double ns = 1e9 / rate;
+    if (first_ns == 0) first_ns = ns;
+    std::printf("%6u %6u %7u %7u %13.0f %11.0f %11.2fx\n", n_mgr, n_sub,
+                n_mgr + n_sub, kActive, rate, ns, ns / first_ns);
+  }
+  bench::rule(74);
+  std::printf("(ports grow 4x from the first row to the last; cost vs 1st = "
+              "ns/cycle relative to the 32x24 row)\n");
+}
+
+// ------------------------------------------------------------------
 // Hierarchy dimension: the same leaf count flat vs regrouped behind
 // latency-1 ID-remapping bridges (soc::hier_grid_desc). Two effects
 // compete: each cluster adds a bridge + nested crossbar (more modules,
@@ -346,6 +380,7 @@ int main(int argc, char** argv) {
     print_area_table();
     run_concurrent_recovery();
     print_scaling_knee();
+    print_idle_port_sweep();
     print_hierarchy_knee();
   }
   benchmark::Initialize(&argc, argv);

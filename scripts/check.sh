@@ -29,9 +29,12 @@ echo "check.sh: event-driven vs full-sweep equivalence OK"
 
 # Crossbar shard gate: the per-port sharded evaluation must be
 # wire-exact against the monolithic reference eval (lockstep fuzz incl.
-# injected faults, DECERR traffic and busy->idle->busy transitions).
+# injected faults, DECERR traffic, busy->idle->busy transitions, crossbars
+# wider than 64 ports, a reset mid-traffic and mid-burst restores), and
+# both must reproduce every link-trace digest pinned in
+# tests/data/xbar_goldens/hashes.txt.
 ./build/test_xbar_shard_equiv --gtest_brief=1
-echo "check.sh: sharded vs monolithic crossbar equivalence OK"
+echo "check.sh: sharded vs monolithic crossbar equivalence + xbar_goldens OK"
 
 # Topology gate: the SocBuilder elaboration of cheshire_desc() must be
 # cycle-exact against the legacy hand-wired construction (wire-for-wire

@@ -128,15 +128,16 @@ void Crossbar::MgrShard::eval() {
     }
   }
 
-  // --- single pass over this manager's xrsp row: grant readies from
-  // the targeted subs, and the B/R sources closest to the round-robin
-  // pointers (subs offering a response for this manager plus the DECERR
-  // queue as virtual source n_s) — one read per wire ---
+  // --- single pass over the occupied wires of this manager's xrsp row:
+  // grant readies from the targeted subs, and the B/R sources closest to
+  // the round-robin pointers (subs offering a response for this manager
+  // plus the DECERR queue as virtual source n_s) — one read per wire. A
+  // wire outside the mask holds AxiRsp{} and would change nothing. ---
   std::size_t b_src = kNone;
   std::size_t r_src = kNone;
   std::size_t b_dist = n_s + 1;  // rr distance of the best source so far
   std::size_t r_dist = n_s + 1;
-  for (std::size_t src = 0; src < n_s; ++src) {
+  x_.xrsp_occ_.for_each(m_, [&](std::size_t src) {
     const AxiRsp& xr = x_.xrsp(m_, src).read();
     if (src == aw_s) rsp.aw_ready = xr.aw_ready;
     if (src == ar_s) rsp.ar_ready = xr.ar_ready;
@@ -157,7 +158,7 @@ void Crossbar::MgrShard::eval() {
         rsp.r = xr.r;
       }
     }
-  }
+  });
   if (const DecErrWrite* t = st.first_done_write(m_)) {
     const std::size_t d = rr_dist(n_s, st.b_rr[m_], n_s + 1);
     if (d < b_dist) {
@@ -203,13 +204,18 @@ void Crossbar::MgrShard::eval() {
     if (s == b_src) q.b_ready = mq.b_ready;
     if (s == r_src) q.r_ready = mq.r_ready;
     x_.xreq(m_, s).write(q);
+    x_.xreq_occ_.set(s, m_);
   }
-  reset_stale(prev_, cur, n_s, [&](std::size_t s) -> auto& {
-    return x_.xreq(m_, s);
-  }, AxiReq{});
+  reset_stale(prev_, cur, n_s, [&](std::size_t s) {
+    x_.xreq(m_, s).write(AxiReq{});
+    x_.xreq_occ_.clear(s, m_);
+  });
   prev_ = cur;
 
   x_.mgrs_[m_]->rsp.write(rsp);
+  x_.live_mgrs_.assign(0, m_,
+                       mq.aw_valid || mq.w_valid || mq.ar_valid ||
+                           rsp.b_valid || rsp.r_valid);
 }
 
 void Crossbar::SubShard::eval() {
@@ -234,14 +240,16 @@ void Crossbar::SubShard::eval() {
     r_m = sr.r.id >> st.id_shift;
   }
 
-  // --- single pass over this subordinate's xreq column: round-robin
-  // AW/AR arbitration (closest requester to the rr pointer wins), W
-  // forwarding and B/R ready collection — one read per wire ---
+  // --- single pass over the occupied wires of this subordinate's xreq
+  // column: round-robin AW/AR arbitration (closest requester to the rr
+  // pointer wins, so the winner is the linear scan's), W forwarding and
+  // B/R ready collection — one read per wire. A wire outside the mask
+  // holds AxiReq{} and would change nothing. ---
   std::size_t aw_m = kNone;
   std::size_t ar_m = kNone;
   std::size_t aw_dist = n_m;
   std::size_t ar_dist = n_m;
-  for (std::size_t m = 0; m < n_m; ++m) {
+  x_.xreq_occ_.for_each(s_, [&](std::size_t m) {
     const AxiReq& xq = x_.xreq(m, s_).read();
     if (xq.aw_valid) {
       const std::size_t d = rr_dist(m, st.aw_rr[s_], n_m);
@@ -265,7 +273,7 @@ void Crossbar::SubShard::eval() {
     }
     if (m == b_m) q.b_ready = xq.b_ready;
     if (m == r_m) q.r_ready = xq.r_ready;
-  }
+  });
   q.aw_valid = aw_m != kNone;
   q.ar_valid = ar_m != kNone;
 
@@ -289,10 +297,12 @@ void Crossbar::SubShard::eval() {
       xr.r = RFlit{sr.r.id & st.id_mask, sr.r.data, sr.r.resp, sr.r.last};
     }
     x_.xrsp(m, s_).write(xr);
+    x_.xrsp_occ_.set(m, s_);
   }
-  reset_stale(prev_, cur, n_m, [&](std::size_t m) -> auto& {
-    return x_.xrsp(m, s_);
-  }, AxiRsp{});
+  reset_stale(prev_, cur, n_m, [&](std::size_t m) {
+    x_.xrsp(m, s_).write(AxiRsp{});
+    x_.xrsp_occ_.clear(m, s_);
+  });
   prev_ = cur;
 }
 
@@ -318,7 +328,14 @@ Crossbar::Crossbar(std::string name, std::vector<Link*> managers,
       eval_aw_hint_(mgrs_.size(), 0),
       eval_ar_hint_(mgrs_.size(), 0),
       tick_aw_hint_(mgrs_.size(), 0),
-      tick_ar_hint_(mgrs_.size(), 0) {
+      tick_ar_hint_(mgrs_.size(), 0),
+      xreq_occ_(impl == XbarImpl::kSharded ? subs_.size() : 0, mgrs_.size()),
+      xrsp_occ_(mgrs_.size(), subs_.size()),
+      live_mgrs_(1, mgrs_.size()),
+      evt_mgrs_(1, mgrs_.size()),
+      evt_subs_(1, subs_.size()),
+      dec_mgrs_(1, mgrs_.size()) {
+  reset_masks();
   if (impl_ == XbarImpl::kSharded) {
     mgr_shards_.reserve(mgrs_.size());
     for (std::size_t m = 0; m < mgrs_.size(); ++m) {
@@ -503,30 +520,50 @@ void Crossbar::eval() {
 /// bookkeeping for both implementations — and recomputes the per-shard
 /// edge-activity flags: a shard is marked only when the edge mutated
 /// state its eval reads (grant FIFOs, round-robin pointers, ID routes,
-/// DECERR queues); pure wire traffic is traced by the scheduler.
+/// DECERR queues); pure wire traffic is traced by the scheduler. The
+/// work is O(active ports): only live manager ports are read, a B/R
+/// source is sought among the manager's occupied response wires, and
+/// only the flags of this edge and the previous one are touched.
 void Crossbar::tick() {
   const std::size_t n_m = mgrs_.size();
   const std::size_t n_s = subs_.size();
 
-  std::fill(st_.mgr_evt.begin(), st_.mgr_evt.end(), 0);
-  std::fill(st_.sub_evt.begin(), st_.sub_evt.end(), 0);
+  // Lower the flags the previous edge raised; every other flag, and its
+  // shard's report, is already clear.
+  evt_mgrs_.for_each(0, [&](std::size_t m) {
+    st_.mgr_evt[m] = 0;
+    report_mgr(m, false);
+  });
+  evt_subs_.for_each(0, [&](std::size_t s) {
+    st_.sub_evt[s] = 0;
+    report_sub(s, false);
+  });
+  evt_mgrs_.fill(false);
+  evt_subs_.fill(false);
+  const auto raise_mgr = [&](std::size_t m) {
+    st_.mgr_evt[m] = 1;
+    evt_mgrs_.set(0, m);
+  };
+  const auto raise_sub = [&](std::size_t s) {
+    st_.sub_evt[s] = 1;
+    evt_subs_.set(0, s);
+  };
 
   // Facade-level (monolithic) activity mirrors the seed's conservative
   // formula: quiet ports all around and empty DECERR queues mean the
   // edge was a provable no-op for eval().
-  bool evt = false;
-  for (std::size_t m = 0; m < n_m; ++m) {
-    evt = evt || !st_.dec_w[m].empty() || !st_.dec_r[m].empty();
-  }
+  bool evt = dec_mgrs_.any();
 
-  for (std::size_t m = 0; m < n_m; ++m) {
+  // A port outside live_mgrs_ carries no valid in either direction, so
+  // no handshake can fire there and it adds nothing to `evt`.
+  live_mgrs_.for_each(0, [&](std::size_t m) {
     const AxiReq& mq = mgrs_[m]->req.read();
     const AxiRsp& mr = mgrs_[m]->rsp.read();
     evt = evt || mq.aw_valid || mq.w_valid || mq.ar_valid || mr.b_valid ||
           mr.r_valid;
 
     if (aw_fire(mq, mr)) {
-      st_.mgr_evt[m] = 1;
+      raise_mgr(m);
       const std::size_t s = st_.decoder.lookup(mq.aw.addr, tick_aw_hint_[m]);
       st_.aw_id_route[m].open(mq.aw.id, s);
       if (s == kDecErr) {
@@ -537,11 +574,11 @@ void Crossbar::tick() {
         st_.w_route[s].push_back(m);
         st_.mgr_w_route[m].push_back(s);
         st_.aw_rr[s] = (m + 1) % n_m;
-        st_.sub_evt[s] = 1;
+        raise_sub(s);
       }
     }
     if (ar_fire(mq, mr)) {
-      st_.mgr_evt[m] = 1;
+      raise_mgr(m);
       const std::size_t s = st_.decoder.lookup(mq.ar.addr, tick_ar_hint_[m]);
       st_.ar_id_route[m].open(mq.ar.id, s);
       if (s == kDecErr) {
@@ -549,13 +586,13 @@ void Crossbar::tick() {
         ++st_.decode_errors;
       } else {
         st_.ar_rr[s] = (m + 1) % n_m;
-        st_.sub_evt[s] = 1;
+        raise_sub(s);
       }
     }
     // W beat consumed.
     if (w_fire(mq, mr)) {
       assert(!st_.mgr_w_route[m].empty());
-      st_.mgr_evt[m] = 1;
+      raise_mgr(m);
       const std::size_t s = st_.mgr_w_route[m].front();
       if (s == kDecErr) {
         if (mq.w.last) {
@@ -570,25 +607,22 @@ void Crossbar::tick() {
       } else if (mq.w.last) {
         st_.mgr_w_route[m].pop_front();
         st_.w_route[s].pop_front();
-        st_.sub_evt[s] = 1;
+        raise_sub(s);
       }
     }
-    // B delivered.
+    // B delivered: from the first subordinate handshaking a B of this
+    // manager, else from the DECERR queue (retire that entry).
     if (b_fire(mq, mr)) {
-      st_.mgr_evt[m] = 1;
+      raise_mgr(m);
       st_.aw_id_route[m].close(mr.b.id);
-      // If it came from the DECERR queue, retire that entry.
-      bool from_sub = false;
-      for (std::size_t s = 0; s < n_s; ++s) {
+      const std::size_t src = xrsp_occ_.find(m, [&](std::size_t s) {
         const AxiRsp& sr = subs_[s]->rsp.read();
-        if (sr.b_valid && subs_[s]->req.read().b_ready &&
-            (sr.b.id >> st_.id_shift) == m) {
-          from_sub = true;
-          st_.b_rr[m] = (s + 1) % (n_s + 1);
-          break;
-        }
-      }
-      if (!from_sub) {
+        return sr.b_valid && subs_[s]->req.read().b_ready &&
+               (sr.b.id >> st_.id_shift) == m;
+      });
+      if (src < n_s) {
+        st_.b_rr[m] = (src + 1) % (n_s + 1);
+      } else {
         for (auto it = st_.dec_w[m].begin(); it != st_.dec_w[m].end();
              ++it) {
           if (it->data_done) {
@@ -601,19 +635,16 @@ void Crossbar::tick() {
     }
     // R beat delivered.
     if (r_fire(mq, mr)) {
-      st_.mgr_evt[m] = 1;
+      raise_mgr(m);
       if (mr.r.last) st_.ar_id_route[m].close(mr.r.id);
-      bool from_sub = false;
-      for (std::size_t s = 0; s < n_s; ++s) {
+      const std::size_t src = xrsp_occ_.find(m, [&](std::size_t s) {
         const AxiRsp& sr = subs_[s]->rsp.read();
-        if (sr.r_valid && subs_[s]->req.read().r_ready &&
-            (sr.r.id >> st_.id_shift) == m) {
-          from_sub = true;
-          st_.r_rr[m] = (s + 1) % (n_s + 1);
-          break;
-        }
-      }
-      if (!from_sub) {
+        return sr.r_valid && subs_[s]->req.read().r_ready &&
+               (sr.r.id >> st_.id_shift) == m;
+      });
+      if (src < n_s) {
+        st_.r_rr[m] = (src + 1) % (n_s + 1);
+      } else {
         if (!st_.dec_r[m].empty()) {
           if (--st_.dec_r[m].front().beats_left == 0) {
             st_.dec_r[m].pop_front();
@@ -622,19 +653,46 @@ void Crossbar::tick() {
         st_.r_rr[m] = 0;
       }
     }
-  }
+    // Only a port that fired above can have changed its DECERR queues.
+    dec_mgrs_.assign(0, m, !st_.dec_w[m].empty() || !st_.dec_r[m].empty());
+  });
   tick_evt_ = evt;
-  for (std::size_t m = 0; m < mgr_shards_.size(); ++m) {
-    mgr_shards_[m]->report(st_.mgr_evt[m] != 0);
-  }
-  for (std::size_t s = 0; s < sub_shards_.size(); ++s) {
-    sub_shards_[s]->report(st_.sub_evt[s] != 0);
-  }
+  evt_mgrs_.for_each(0, [&](std::size_t m) { report_mgr(m, true); });
+  evt_subs_.for_each(0, [&](std::size_t s) { report_sub(s, true); });
   // Quiet manager ports and drained DECERR queues: no handshake can
   // fire, and every per-shard flag is already clear. The kernel reads the
   // shards' reports only at edges this facade ticks at, so they stay
   // clear while it sleeps.
   set_tick_idle(!evt);
+}
+
+void Crossbar::report_mgr(std::size_t m, bool evt) {
+  if (!mgr_shards_.empty()) mgr_shards_[m]->report(evt);
+}
+
+void Crossbar::report_sub(std::size_t s, bool evt) {
+  if (!sub_shards_.empty()) sub_shards_[s]->report(evt);
+}
+
+void Crossbar::reset_masks() {
+  xreq_occ_.fill(false);
+  xrsp_occ_.fill(impl_ == XbarImpl::kMonolithic);
+  live_mgrs_.fill(true);
+  evt_mgrs_.fill(true);
+  evt_subs_.fill(true);
+  dec_mgrs_.fill(false);
+}
+
+void Crossbar::rebuild_masks() {
+  reset_masks();
+  for (std::size_t m = 0; m < mgrs_.size(); ++m) {
+    if (!st_.dec_w[m].empty() || !st_.dec_r[m].empty()) dec_mgrs_.set(0, m);
+    if (impl_ == XbarImpl::kMonolithic) continue;
+    for (std::size_t s = 0; s < subs_.size(); ++s) {
+      if (!(xreq(m, s).read() == AxiReq{})) xreq_occ_.set(s, m);
+      if (!(xrsp(m, s).read() == AxiRsp{})) xrsp_occ_.set(m, s);
+    }
+  }
 }
 
 void Crossbar::reset() {
@@ -644,6 +702,7 @@ void Crossbar::reset() {
   for (Link* m : mgrs_) m->rsp.force(AxiRsp{});
   for (auto& w : xreq_) w.force(AxiReq{});
   for (auto& w : xrsp_) w.force(AxiRsp{});
+  reset_masks();
 }
 
 void Crossbar::visit_state(sim::StateVisitor& v) {
@@ -654,6 +713,8 @@ void Crossbar::visit_state(sim::StateVisitor& v) {
   for (auto& w : xreq_) visit(v, w);
   for (auto& w : xrsp_) visit(v, w);
   visit(v, tick_evt_);
+  // The masks are derived; a restore re-derives them from what it loaded.
+  if (!v.saving()) rebuild_masks();
 }
 
 }  // namespace axi

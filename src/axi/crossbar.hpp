@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -22,8 +24,9 @@ enum class XbarImpl {
   /// shards (decode/demux + B/R mux for one manager), coupled through
   /// internal per-(manager, subordinate) wires. Each shard is its own
   /// sim::Module, so the event-driven scheduler wakes only shards whose
-  /// wires actually changed — an idle port costs zero evals and a busy
-  /// port costs O(N) or O(M) instead of O(N x M).
+  /// wires actually changed — an idle port costs zero evals, and a busy
+  /// port's eval scans only the internal wires its occupancy mask marks,
+  /// O(active ports) instead of O(N) or O(M).
   kSharded,
   /// Single monolithic eval over all ports (the seed behaviour on the
   /// shared XbarState). Retained as the lockstep cross-check reference
@@ -34,6 +37,77 @@ enum class XbarImpl {
 inline const char* to_string(XbarImpl i) {
   return i == XbarImpl::kSharded ? "sharded" : "monolithic";
 }
+
+/// Rows of bits over crossbar ports: row r holds `width` bits in
+/// ceil(width / 64) words, walked one set bit at a time with
+/// std::countr_zero. The crossbar keeps its derived occupancy state in
+/// these (never serialized; see Crossbar).
+class PortMasks {
+ public:
+  PortMasks(std::size_t rows, std::size_t width)
+      : rows_(rows), width_(width), words_((width + 63) / 64),
+        bits_(rows * words_, 0) {}
+
+  void set(std::size_t row, std::size_t i) { word(row, i) |= bit(i); }
+  void clear(std::size_t row, std::size_t i) { word(row, i) &= ~bit(i); }
+  void assign(std::size_t row, std::size_t i, bool on) {
+    on ? set(row, i) : clear(row, i);
+  }
+
+  /// Every bit of every row on, or every bit off.
+  void fill(bool on) {
+    std::fill(bits_.begin(), bits_.end(), on ? ~std::uint64_t{0} : 0);
+    if (on && width_ % 64 != 0) {
+      for (std::size_t r = 0; r < rows_; ++r) {
+        bits_[r * words_ + words_ - 1] = bit(width_) - 1;
+      }
+    }
+  }
+
+  bool any() const {
+    for (const std::uint64_t w : bits_) {
+      if (w != 0) return true;
+    }
+    return false;
+  }
+
+  /// Calls f(i) for every set bit i of `row`, in ascending order. Bits
+  /// of the row that f sets or clears may or may not be visited.
+  template <typename F>
+  void for_each(std::size_t row, F&& f) const {
+    const std::uint64_t* w = &bits_[row * words_];
+    for (std::size_t k = 0; k < words_; ++k) {
+      for (std::uint64_t b = w[k]; b != 0; b &= b - 1) {
+        f(k * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+      }
+    }
+  }
+
+  /// The lowest set bit i of `row` with pred(i), or `width`.
+  template <typename P>
+  std::size_t find(std::size_t row, P&& pred) const {
+    const std::uint64_t* w = &bits_[row * words_];
+    for (std::size_t k = 0; k < words_; ++k) {
+      for (std::uint64_t b = w[k]; b != 0; b &= b - 1) {
+        const std::size_t i =
+            k * 64 + static_cast<std::size_t>(std::countr_zero(b));
+        if (pred(i)) return i;
+      }
+    }
+    return width_;
+  }
+
+ private:
+  static std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << (i % 64);
+  }
+  std::uint64_t& word(std::size_t row, std::size_t i) {
+    return bits_[row * words_ + i / 64];
+  }
+
+  std::size_t rows_, width_, words_;
+  std::vector<std::uint64_t> bits_;
+};
 
 /// N-manager x M-subordinate AXI4 crossbar.
 ///
@@ -108,23 +182,37 @@ class Crossbar : public sim::Module {
     return (idx + mod - rr) % mod;
   }
 
-  /// Resets wires of `prev`-active ports that are no longer in `cur` to
-  /// the default value. Together with writing every `cur` port each
-  /// eval, this maintains the sparse-write invariant both shard types
-  /// rely on: a wire indexed outside the last eval's `cur` array
-  /// provably holds a default-constructed value.
-  template <typename WireAt, typename Default>
+  /// Calls `reset(i)` for each in-range port of `prev` that is no longer
+  /// in `cur`; the caller writes that wire back to its default value and
+  /// clears its occupancy bit. Together with writing (and marking) every
+  /// `cur` port each eval, this maintains the sparse-write invariant both
+  /// shard types rely on: a wire indexed outside the last eval's `cur`
+  /// array provably holds a default-constructed value, so its bit in the
+  /// reader's occupancy mask may be clear.
+  template <typename Reset>
   static void reset_stale(const std::array<std::size_t, 5>& prev,
                           const std::array<std::size_t, 5>& cur,
-                          std::size_t bound, WireAt&& wire_at,
-                          const Default& def) {
+                          std::size_t bound, Reset&& reset) {
     for (const std::size_t i : prev) {
       if (i >= bound) continue;
       bool still_active = false;
       for (const std::size_t c : cur) still_active = still_active || c == i;
-      if (!still_active) wire_at(i).write(def);
+      if (!still_active) reset(i);
     }
   }
+
+  /// The masks for default internal wires and empty DECERR queues
+  /// (construction, reset()): no occupancy, no DECERR activity. The live
+  /// ports and the previous edge's flags are set conservatively, to all
+  /// ones: the shards' evals and the next tick() narrow them.
+  void reset_masks();
+  /// After a restore: reset_masks(), then occupancy from the loaded
+  /// internal wires and DECERR activity from the loaded queues.
+  void rebuild_masks();
+  /// Sets manager shard m's (sub shard s's) edge report; no-op without
+  /// shards.
+  void report_mgr(std::size_t m, bool evt);
+  void report_sub(std::size_t s, bool evt);
 
   sim::Wire<AxiReq>& xreq(std::size_t m, std::size_t s) {
     return xreq_[m * subs_.size() + s];
@@ -157,6 +245,28 @@ class Crossbar : public sim::Module {
   std::vector<std::uint32_t> eval_ar_hint_;
   std::vector<std::uint32_t> tick_aw_hint_;
   std::vector<std::uint32_t> tick_ar_hint_;
+
+  // Derived state: never serialized; see reset_masks(). A set
+  // bit means "may be active", so a superset is always safe — a default
+  // wire or a quiet port contributes nothing to the scan that reads it.
+  // Under kMonolithic (no shards) xrsp_occ_ and live_mgrs_ stay all
+  // ones, so tick() keeps one code path.
+  /// Row s: managers m whose xreq(m, s) may be non-default — between
+  /// rebuilds, exactly the ports m whose MgrShard holds s in its
+  /// stale-wire slots. SubShard s scans only these.
+  PortMasks xreq_occ_;
+  /// Row m: subordinates s whose xrsp(m, s) may be non-default. MgrShard
+  /// m scans only these, and tick() finds a B/R source among them.
+  PortMasks xrsp_occ_;
+  /// Manager ports whose MgrShard last saw a request valid or drove a
+  /// response valid: the only ports at which tick() can commit anything.
+  PortMasks live_mgrs_;
+  /// Shard flags (XbarState::mgr_evt / sub_evt) raised at the last edge:
+  /// the next tick() lowers these and no others.
+  PortMasks evt_mgrs_;
+  PortMasks evt_subs_;
+  /// Managers with a non-empty DECERR queue.
+  PortMasks dec_mgrs_;
 };
 
 }  // namespace axi

@@ -175,6 +175,18 @@ struct AxiRsp {
 /// Number of beats in a burst described by an AXI len field.
 inline unsigned beats(std::uint8_t len) { return unsigned{len} + 1u; }
 
+/// Loaders: a queued burst countdown (beats still to send, `what`) is
+/// always in [1, 256] while its entry lives — it starts at beats(len)
+/// and the entry retires when it reaches 0. A restored 0 would send a
+/// non-last beat and then wrap to 2^32 - 1 beats.
+template <typename V>
+void check_beats_left(V& v, unsigned beats_left, const char* what) {
+  if (!v.saving() && (beats_left < 1 || beats_left > beats(0xFF))) {
+    v.fail(std::string(what) + " countdown " + std::to_string(beats_left) +
+           " out of range [1, 256]");
+  }
+}
+
 /// Bytes per beat for an AXI size field.
 inline std::uint64_t beat_bytes(std::uint8_t size) {
   return std::uint64_t{1} << size;

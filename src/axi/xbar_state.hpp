@@ -194,6 +194,7 @@ struct DecErrRead {
   void visit_fields(V& v) {
     visit(v, id);
     visit(v, beats_left);
+    check_beats_left(v, beats_left, "crossbar DECERR read");
   }
 };
 

@@ -139,6 +139,7 @@ class Tmu : public sim::Module {
     void visit_fields(V& v) {
       visit(v, id);
       visit(v, beats_left);
+      axi::check_beats_left(v, beats_left, "TMU read abort");
     }
   };
 

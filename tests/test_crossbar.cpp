@@ -202,6 +202,31 @@ TEST_P(XbarImplTest, DecErrBurstResponses) {
   EXPECT_EQ(b.gens[0]->error_responses(), 1u);
 }
 
+// The facade's edge report counts a queued DECERR response as activity
+// even while its manager's port is quiet: a DECERR write whose W beats
+// have not started keeps the facade ticking, and a drained queue lets it
+// sleep.
+TEST_P(XbarImplTest, QueuedDecErrKeepsTheFacadeAwake) {
+  Bench b(3, 2, GetParam());
+  b.gens[2]->set_w_start_delay(12);
+  b.gens[2]->push(TxnDesc{true, 1, 0x40'0000, 1, 3, Burst::kIncr});
+  const Link& port = b.mgr(2);
+  unsigned quiet_edges = 0;
+  for (int c = 0; c < 100 && b.gens[2]->completed() == 0; ++c) {
+    const bool quiet = !port.req.read().aw_valid && !port.req.read().w_valid &&
+                       !port.rsp.read().b_valid;
+    b.s.step();
+    if (quiet && b.xbar->decode_errors() == 1) {
+      ++quiet_edges;
+      EXPECT_FALSE(b.xbar->tick_idle()) << "cycle " << c;
+    }
+  }
+  ASSERT_EQ(b.gens[2]->completed(), 1u);
+  EXPECT_GE(quiet_edges, 10u);
+  b.s.run(3);
+  EXPECT_TRUE(b.xbar->tick_idle());
+}
+
 // Round-robin fairness at asymmetric sizes: under saturating contention
 // every manager makes comparable progress.
 TEST_P(XbarImplTest, RoundRobinFairnessAsymmetricGrids) {

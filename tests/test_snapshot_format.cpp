@@ -15,6 +15,7 @@
 
 #include "axi/crossbar.hpp"
 #include "axi/traffic_gen.hpp"
+#include "fault/injector.hpp"
 #include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
@@ -73,6 +74,54 @@ std::vector<unsigned char> read_bytes(const std::string& path) {
   EXPECT_EQ(sim::bytes::read_file(path, bytes), sim::bytes::FileStatus::kOk)
       << "missing fixture " << path;
   return {bytes.begin(), bytes.end()};
+}
+
+// The bytes `m`'s own visit_state() contributes to a capture.
+std::vector<unsigned char> module_bytes(sim::Module& m) {
+  struct SaveBytes final : sim::StateVisitor {
+    [[noreturn]] void fail(const std::string& msg) override {
+      throw std::logic_error(msg);
+    }
+  } save;
+  m.visit_state(save);
+  return save.take_bytes();
+}
+
+// Where `m`'s state starts in the capture's payload.
+std::vector<unsigned char>::iterator module_state_in(Snapshot& snap,
+                                                     sim::Module& m) {
+  const std::vector<unsigned char> state = module_bytes(m);
+  const auto at = std::search(snap.payload.begin(), snap.payload.end(),
+                              state.begin(), state.end());
+  EXPECT_NE(at, snap.payload.end()) << m.name() << " state not in payload";
+  return at;
+}
+
+// Inside `m`'s state, finds the only occurrence of `prefix` followed by
+// the little-endian u32 `from` and overwrites that u32 with `to`.
+void patch_u32(Snapshot& snap, sim::Module& m,
+               std::vector<unsigned char> prefix, std::uint32_t from,
+               std::uint32_t to) {
+  const auto begin = module_state_in(snap, m);
+  ASSERT_NE(begin, snap.payload.end());
+  const auto end = begin + static_cast<std::ptrdiff_t>(module_bytes(m).size());
+  sim::bytes::put_le(prefix, from);
+  const auto hit = std::search(begin, end, prefix.begin(), prefix.end());
+  ASSERT_NE(hit, end) << "field not found in " << m.name();
+  ASSERT_EQ(std::search(hit + 1, end, prefix.begin(), prefix.end()), end)
+      << "field not unique in " << m.name();
+  std::vector<unsigned char> value;
+  sim::bytes::put_le(value, to);
+  std::copy(value.begin(), value.end(), hit + (prefix.size() - 4));
+}
+
+// A queue entry as the state walk writes it when it is its deque's only
+// entry: the count 1, then the entry's leading ID.
+std::vector<unsigned char> sole_entry_with_id(axi::Id id) {
+  std::vector<unsigned char> bytes;
+  sim::bytes::put_le(bytes, std::uint64_t{1});
+  sim::bytes::put_le(bytes, id);
+  return bytes;
 }
 
 TEST(SnapshotFormat, ImageLayoutAndRoundTrip) {
@@ -316,17 +365,7 @@ TEST_F(CorruptedCapture, CrossbarPortVectorShrunk) {
   soc->sim().run(20);
   Snapshot snap = snapshot::capture(*soc);
 
-  struct SaveBytes final : sim::StateVisitor {
-    [[noreturn]] void fail(const std::string& msg) override {
-      throw std::logic_error(msg);
-    }
-  } save;
-  for (sim::Module* m : soc->sim().modules()) {
-    if (dynamic_cast<axi::Crossbar*>(m) != nullptr) m->visit_state(save);
-  }
-  const std::vector<unsigned char> xbar = save.take_bytes();
-  const auto at = std::search(snap.payload.begin(), snap.payload.end(),
-                              xbar.begin(), xbar.end());
+  const auto at = module_state_in(snap, soc->get<axi::Crossbar>("xbar"));
   ASSERT_NE(at, snap.payload.end());
   const std::vector<unsigned char> routes(at, at + 24);
   std::vector<unsigned char> want;
@@ -338,6 +377,68 @@ TEST_F(CorruptedCapture, CrossbarPortVectorShrunk) {
   const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
   expect_rejects([&] { snapshot::fork(crafted, desc); },
                  "crossbar w_route has 1 entries for 2 ports");
+}
+
+// R-burst countdowns of queued responses: a live entry holds len + 1 in
+// [1, 256] until its last beat retires it. A restored 0 would send one
+// beat without `last` and then count down from 2^32 - 1 — a hang of ~4G
+// error beats — so both queues refuse anything outside the range.
+TEST_F(CorruptedCapture, CrossbarDecErrReadCountdownOutOfRange) {
+  // A 256-beat read to an unmapped address, three DECERR beats in: the
+  // crossbar's queue entry for gen0 counts 253 beats still to send.
+  const soc::SocDesc desc = soc::grid_desc(2, 2, 0);
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(desc);
+  soc->get<axi::TrafficGenerator>("gen0").push(
+      axi::TxnDesc{false, 0x2A, 0x10'0000, 0xFF});
+  const axi::Link& port = soc->link("gen0.out");
+  unsigned delivered = 0;
+  for (int c = 0; c < 100 && delivered < 3; ++c) {
+    if (axi::r_fire(port.req.read(), port.rsp.read())) ++delivered;
+    soc->sim().step();
+  }
+  ASSERT_EQ(delivered, 3u);
+  const Snapshot clean = snapshot::capture(*soc);
+  for (const std::uint32_t bad : {0u, 257u}) {
+    Snapshot snap = clean;
+    patch_u32(snap, soc->get<axi::Crossbar>("xbar"), sole_entry_with_id(0x2A),
+              253, bad);
+    const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
+    expect_rejects([&] { snapshot::fork(crafted, desc); },
+                   "crossbar DECERR read countdown " + std::to_string(bad) +
+                       " out of range [1, 256]");
+  }
+  // The unpatched image restores and finishes the burst.
+  const std::unique_ptr<soc::Soc> forked = snapshot::fork(clean, desc);
+  auto& gen = forked->get<axi::TrafficGenerator>("gen0");
+  EXPECT_TRUE(forked->sim().run_until([&] { return gen.completed() == 1; },
+                                      300));
+}
+
+TEST_F(CorruptedCapture, TmuReadAbortCountdownOutOfRange) {
+  // A 16-beat read whose R beats never arrive: the TMU times it out,
+  // severs, and queues 16 SLVERR beats for the manager.
+  soc::SocDesc desc = fixture_desc();
+  desc.managers.front().traffic.enabled = false;
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(desc);
+  soc->get<axi::TrafficGenerator>("gen").push(
+      axi::TxnDesc{false, 0x2A, 0x100, 15});
+  soc->get<fault::FaultInjector>("inj_s").arm(fault::FaultPoint::kRValidStuck);
+  auto& tmu = soc->get<tmu::Tmu>("tmu");
+  for (int c = 0; c < 2000 && !tmu.severed(); ++c) soc->sim().step();
+  ASSERT_TRUE(tmu.severed());
+  const Snapshot clean = snapshot::capture(*soc);
+  for (const std::uint32_t bad : {0u, 257u}) {
+    Snapshot snap = clean;
+    patch_u32(snap, tmu, sole_entry_with_id(0x2A), 16, bad);
+    const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
+    expect_rejects([&] { snapshot::fork(crafted, desc); },
+                   "TMU read abort countdown " + std::to_string(bad) +
+                       " out of range [1, 256]");
+  }
+  const std::unique_ptr<soc::Soc> forked = snapshot::fork(clean, desc);
+  auto& gen = forked->get<axi::TrafficGenerator>("gen");
+  EXPECT_TRUE(forked->sim().run_until([&] { return gen.completed() == 1; },
+                                      300));
 }
 
 // Every single-byte flip of the committed fixture's payload either fails

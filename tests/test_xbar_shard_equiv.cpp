@@ -27,7 +27,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -506,12 +505,17 @@ TEST(XbarShardEquiv, RestoredMidBurstMatchesUninterrupted) {
     ASSERT_EQ(live.completed(), used.completed());
     ASSERT_EQ(live.s.module_evals(), fresh.s.module_evals());
     ASSERT_EQ(live.s.module_evals(), used.s.module_evals());
+    // Whole-netlist state, shard flags of the last edge included, right
+    // after the restore and at the end.
+    if (c < 8 || c == 499) {
+      const std::vector<unsigned char> want = live.capture();
+      ASSERT_EQ(fresh.capture(), want) << "cycle " << c;
+      ASSERT_EQ(used.capture(), want) << "cycle " << c;
+    }
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_EQ(fresh.digests(), live.digests());
   EXPECT_EQ(used.digests(), live.digests());
-  EXPECT_EQ(fresh.capture(), live.capture());
-  EXPECT_EQ(used.capture(), live.capture());
 }
 
 // An idle sharded crossbar costs zero evals: after the netlist drains,
