@@ -136,6 +136,20 @@ struct LoadBytes final : sim::StateVisitor {
   }
 };
 
+/// What a netlist's traffic looks like beyond its grid size.
+struct Scenario {
+  /// Generators that issue random traffic; empty means all of them.
+  std::vector<unsigned> active;
+  /// The lowest 64 KiB window the traffic addresses. It runs up to the
+  /// unmapped window n_s, so the DECERR paths always run.
+  unsigned first_window = 0;
+  /// Memory j answers B after 1 + j % 4 cycles and the first R beat
+  /// after 2 + 3j % 5, so neighbouring subordinates can offer one
+  /// manager a response in the same cycle; otherwise every memory is
+  /// the default.
+  bool staggered = false;
+};
+
 /// n_m generators -> crossbar -> n_s memories, each memory owning a
 /// 64 KiB window; random traffic spills one window past the map so
 /// DECERR paths are exercised too. A fault injector sits on manager 0's
@@ -145,6 +159,7 @@ struct LoadBytes final : sim::StateVisitor {
 /// external link.
 struct XbarNet {
   unsigned n_m, n_s;
+  Scenario sc;
   std::vector<std::unique_ptr<Link>> links;
   std::vector<std::unique_ptr<TrafficGenerator>> gens;
   std::vector<std::unique_ptr<MemorySubordinate>> mems;
@@ -159,10 +174,11 @@ struct XbarNet {
   std::vector<Link*> mgr_ports, sub_ports;
 
   XbarNet(unsigned n_mgrs, unsigned n_subs, XbarImpl impl,
-          std::uint64_t seed,
+          std::uint64_t seed, Scenario scenario = {},
           SchedPolicy policy = SchedPolicy::kEventDriven)
       : n_m(n_mgrs),
         n_s(n_subs),
+        sc(std::move(scenario)),
         inj_m("inj_m", l_gen0, mk_link()),
         inj_s("inj_s", mk_link(), l_mem0),
         s(policy) {
@@ -171,7 +187,8 @@ struct XbarNet {
     sub_ports.push_back(links[1].get());
     gens.push_back(std::make_unique<TrafficGenerator>("gen0", l_gen0,
                                                       seed * 7 + 1));
-    mems.push_back(std::make_unique<MemorySubordinate>("mem0", l_mem0));
+    mems.push_back(
+        std::make_unique<MemorySubordinate>("mem0", l_mem0, mem_cfg(0)));
     for (unsigned i = 1; i < n_m; ++i) {
       Link& l = mk_link();
       mgr_ports.push_back(&l);
@@ -182,7 +199,7 @@ struct XbarNet {
       Link& l = mk_link();
       sub_ports.push_back(&l);
       mems.push_back(std::make_unique<MemorySubordinate>(
-          "mem" + std::to_string(j), l));
+          "mem" + std::to_string(j), l, mem_cfg(j)));
     }
     std::vector<AddrRange> map;
     for (unsigned j = 0; j < n_s; ++j) {
@@ -207,6 +224,15 @@ struct XbarNet {
     s.reset();
   }
 
+  MemoryConfig mem_cfg(unsigned j) const {
+    MemoryConfig c;
+    if (sc.staggered) {
+      c.b_latency = 1 + j % 4;
+      c.r_first_latency = 2 + (3 * j) % 5;
+    }
+    return c;
+  }
+
   Link& mk_link() {
     links.push_back(std::make_unique<Link>());
     return *links.back();
@@ -217,16 +243,18 @@ struct XbarNet {
         std::make_unique<trace::Recorder>("rec_" + link_name, link_name, l));
   }
 
-  /// Random traffic on every generator, or only on those in `active`.
-  void set_traffic(bool on, const std::vector<unsigned>& active = {}) {
+  /// The scenario's random traffic on, or every generator off.
+  void set_traffic(bool on) {
     RandomTrafficConfig rc;
     rc.p_new_txn = 0.3;
     rc.len_max = 7;
-    // One extra (unmapped) window: ~1/(n_s+1) of traffic DECERRs.
+    // One extra (unmapped) window: ~1 in (n_s + 1 - first_window)
+    // transactions DECERRs.
+    rc.addr_min = sc.first_window * 0x1'0000ull;
     rc.addr_max = (n_s + 1) * 0x1'0000ull - 8;
     for (unsigned i = 0; i < n_m; ++i) {
-      bool listed = active.empty();
-      for (const unsigned a : active) listed = listed || a == i;
+      bool listed = sc.active.empty();
+      for (const unsigned a : sc.active) listed = listed || a == i;
       rc.enabled = on && listed;
       gens[i]->set_random(rc);
     }
@@ -336,19 +364,25 @@ std::string grid_name(const char* kind, unsigned n_m, unsigned n_s,
          std::to_string(n_s) + "_s" + std::to_string(seed);
 }
 
-/// One fuzzed lockstep scenario: random traffic (on the `active`
-/// generators, or all) with decode errors, one fault armed/disarmed
-/// mid-run, then busy -> idle -> busy.
+/// Cycles in which subordinates 63 and 64 both offered one manager a B,
+/// and an R.
+struct Meets {
+  std::size_t b = 0, r = 0;
+};
+
+/// One fuzzed lockstep scenario: random traffic with decode errors,
+/// one fault armed/disarmed mid-run, then busy -> idle -> busy. Adds
+/// the scenario's meets at ports 63 and 64 to `meets` when given.
 void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed,
-                  const std::vector<unsigned>& active = {}) {
+                  const Scenario& sc = {}, Meets* meets = nullptr) {
   SCOPED_TRACE("grid=" + std::to_string(n_m) + "x" + std::to_string(n_s) +
                " seed=" + std::to_string(seed));
   sim::Rng rng(seed);
 
-  XbarNet mono(n_m, n_s, XbarImpl::kMonolithic, seed);
-  XbarNet shard(n_m, n_s, XbarImpl::kSharded, seed);
-  mono.set_traffic(true, active);
-  shard.set_traffic(true, active);
+  XbarNet mono(n_m, n_s, XbarImpl::kMonolithic, seed, sc);
+  XbarNet shard(n_m, n_s, XbarImpl::kSharded, seed, sc);
+  mono.set_traffic(true);
+  shard.set_traffic(true);
 
   constexpr fault::FaultPoint kPoints[] = {
       fault::FaultPoint::kAwReadyStuck, fault::FaultPoint::kWReadyStuck,
@@ -378,8 +412,8 @@ void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed,
       shard.set_traffic(false);
     }
     if (c == resume_at) {
-      mono.set_traffic(true, active);
-      shard.set_traffic(true, active);
+      mono.set_traffic(true);
+      shard.set_traffic(true);
     }
     mono.s.step();
     shard.s.step();
@@ -389,6 +423,12 @@ void run_lockstep(unsigned n_m, unsigned n_s, std::uint64_t seed,
     ASSERT_EQ(mono.completed(), shard.completed())
         << "traffic diverged at cycle " << c;
     if (::testing::Test::HasFatalFailure()) return;
+    if (meets != nullptr) {
+      const AxiRsp& lo = shard.sub_ports[63]->rsp.read();
+      const AxiRsp& hi = shard.sub_ports[64]->rsp.read();
+      meets->b += lo.b_valid && hi.b_valid && lo.b.id >> 8 == hi.b.id >> 8;
+      meets->r += lo.r_valid && hi.r_valid && lo.r.id >> 8 == hi.r.id >> 8;
+    }
   }
   EXPECT_GT(mono.completed(), 0u);
   EXPECT_GT(mono.xbar->decode_errors(), 0u);  // the DECERR path ran
@@ -409,19 +449,19 @@ TEST(XbarShardEquiv, LockstepFuzzThroughFaultsAndIdle) {
 // span two 64-bit words, and ports 63 and 64 sit on either side of the
 // word boundary. Wide manager sets keep a few generators active.
 TEST(XbarShardEquiv, LockstepWiderThanOneMaskWord) {
-  run_lockstep(70, 3, 21, {0, 1, 62, 63, 64, 69});
+  run_lockstep(70, 3, 21, {.active = {0, 1, 62, 63, 64, 69}});
   if (::testing::Test::HasFatalFailure()) return;
   run_lockstep(3, 70, 22);
   if (::testing::Test::HasFatalFailure()) return;
-  run_lockstep(66, 65, 23, {0, 63, 64, 65});
+  run_lockstep(66, 65, 23, {.active = {0, 63, 64, 65}});
 }
 
 // The shards must stay exact under the full-sweep kernel too, and under
 // mid-run policy switches (the sharded facade is not combinational, so
 // both kernels must skip it and evaluate the shards instead).
 TEST(XbarShardEquiv, PolicyTogglingMatchesMonolithic) {
-  XbarNet mono(3, 2, XbarImpl::kMonolithic, 99, SchedPolicy::kFullSweep);
-  XbarNet shard(3, 2, XbarImpl::kSharded, 99, SchedPolicy::kFullSweep);
+  XbarNet mono(3, 2, XbarImpl::kMonolithic, 99, {}, SchedPolicy::kFullSweep);
+  XbarNet shard(3, 2, XbarImpl::kSharded, 99, {}, SchedPolicy::kFullSweep);
   mono.set_traffic(true);
   shard.set_traffic(true);
 
@@ -477,17 +517,16 @@ TEST(XbarShardEquiv, ResetMidTrafficMatchesMonolithic) {
 // netlist. Wide enough that the masks span two words.
 TEST(XbarShardEquiv, RestoredMidBurstMatchesUninterrupted) {
   constexpr unsigned kM = 66, kS = 3;
-  const std::vector<unsigned> active = {0, 5, 63, 64, 65};
-  XbarNet live(kM, kS, XbarImpl::kSharded, 41);
-  live.set_traffic(true, active);
+  XbarNet live(kM, kS, XbarImpl::kSharded, 41, {.active = {0, 5, 63, 64, 65}});
+  live.set_traffic(true);
   live.s.run(200);
   for (int i = 0; i < 2000 && !live.mid_burst(); ++i) live.s.step();
   ASSERT_TRUE(live.mid_burst());
   const std::vector<unsigned char> image = live.capture();
 
   XbarNet fresh(kM, kS, XbarImpl::kSharded, 41);
-  XbarNet used(kM, kS, XbarImpl::kSharded, 43);
-  used.set_traffic(true, {1, 2, 62, 64});
+  XbarNet used(kM, kS, XbarImpl::kSharded, 43, {.active = {1, 2, 62, 64}});
+  used.set_traffic(true);
   used.s.run(321);
   fresh.restore(image);
   used.restore(image);
@@ -529,6 +568,22 @@ TEST(XbarShardEquiv, IdlePortsCostZeroEvals) {
   const std::uint64_t e0 = net.s.module_evals();
   net.s.run(100);
   EXPECT_EQ(net.s.module_evals() - e0, 0u);
+}
+
+// Subordinates 63 and 64 sit on either side of a mask word boundary.
+// Traffic confined to windows 63-66 (66 unmapped) and memories of
+// different latencies make both answer one manager in the same cycle,
+// on B and on R, so the B/R round-robin pointers are exercised after a
+// beat from port 64. Defined last: a re-pin appends these keys after
+// the earlier scenarios'.
+TEST(XbarShardEquiv, ResponsesMeetAtTheMaskWordBoundary) {
+  const Scenario edge{.active = {}, .first_window = 63, .staggered = true};
+  Meets meets;
+  run_lockstep(2, 66, 24, edge, &meets);
+  if (::testing::Test::HasFatalFailure()) return;
+  run_lockstep(1, 66, 25, edge, &meets);
+  EXPECT_GT(meets.b, 0u);
+  EXPECT_GT(meets.r, 0u);
 }
 
 }  // namespace
