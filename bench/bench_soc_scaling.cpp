@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "area/area_model.hpp"
-#include "axi/crossbar.hpp"
 #include "bench_util.hpp"
 #include "sim/logger.hpp"
 #include "soc/builder.hpp"
@@ -106,27 +107,58 @@ void BM_PolicyEval(benchmark::State& state) {
 BENCHMARK(BM_PolicyEval);
 
 // ------------------------------------------------------------------
+// Timing: each table cell warms its netlist with untimed cycles, then
+// times kReps back-to-back runs of kCycles on it and prints their
+// median with the min and max, so a cell shows its own spread.
+// ------------------------------------------------------------------
+
+constexpr std::uint64_t kWarmCycles = 1000;
+constexpr std::uint64_t kCycles = 4000;
+constexpr int kReps = 5;
+
+struct Rate {
+  double median, min, max;  ///< cycles/s
+};
+
+Rate time_rate(sim::Simulator& s) {
+  s.run(kWarmCycles);
+  std::array<double, kReps> r{};
+  for (double& x : r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    s.run(kCycles);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    x = static_cast<double>(kCycles) / dt.count();
+  }
+  std::sort(r.begin(), r.end());
+  return {r[kReps / 2], r.front(), r.back()};
+}
+
+/// "median [min-max]" in k cycles/s, padded to `width`.
+void print_rate(const Rate& r, int width) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.1fk [%.1f-%.1f]", r.median / 1e3,
+                r.min / 1e3, r.max / 1e3);
+  std::printf(" %*s", width, buf);
+}
+
+// ------------------------------------------------------------------
 // Kernel scaling knee: synthetic N-manager x M-subordinate crossbar
-// SoCs beyond the paper topology, across both schedulers (full-sweep /
-// event-driven) and both crossbar implementations (monolithic O(NxM)
-// eval / per-port shards). With only a fraction of managers active, the
-// event-driven kernel's settle cost tracks activity — and the sharded
-// crossbar is what lets it: the monolithic eval is woken nearly every
-// cycle under load and re-runs all NxM port pairs, while shards wake
-// per port.
+// SoCs beyond the paper topology, under both schedulers (full sweep /
+// event-driven). With only a fraction of managers active, the
+// event-driven kernel's settle cost tracks activity: the crossbar's
+// per-port shards wake per port, so idle ports cost nothing.
 // ------------------------------------------------------------------
 
 /// n managers -> one crossbar -> m memory subordinates, each
 /// subordinate owning a 64 KiB window; `active` managers generate
 /// random traffic, the rest idle (quiet endpoints of a big SoC). The
 /// topology is the shared soc::grid_desc() — this bench only picks the
-/// scheduler policy and crossbar implementation per variant.
+/// scheduler policy per variant.
 std::unique_ptr<soc::Soc> make_grid(unsigned n_mgr, unsigned n_sub,
-                                    unsigned active, SchedPolicy policy,
-                                    axi::XbarImpl impl) {
+                                    unsigned active, SchedPolicy policy) {
   soc::SocDesc d = soc::grid_desc(n_mgr, n_sub, active);
   d.policy = policy;
-  d.xbar_impl = impl;
   return soc::SocBuilder::build(d);
 }
 
@@ -138,45 +170,37 @@ std::size_t grid_completed(soc::Soc& g) {
   return n;
 }
 
-double grid_rate(unsigned n_mgr, unsigned n_sub, unsigned active,
-                 SchedPolicy policy, axi::XbarImpl impl,
-                 std::uint64_t cycles) {
-  const auto g = make_grid(n_mgr, n_sub, active, policy, impl);
-  const auto t0 = std::chrono::steady_clock::now();
-  g->sim().run(cycles);
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(cycles) / dt.count();
+Rate grid_rate(unsigned n_mgr, unsigned n_sub, unsigned active,
+               SchedPolicy policy) {
+  return time_rate(make_grid(n_mgr, n_sub, active, policy)->sim());
 }
 
 void print_scaling_knee() {
   bench::header(
       "Kernel scaling knee — managers x subordinates, 25% managers active",
       "event-driven settle cost tracks activity; the sharded crossbar "
-      "removes the O(NxM) monolithic eval that capped it");
-  std::printf("%6s %6s %7s %13s %13s %13s %9s\n", "mgrs", "subs", "active",
-              "full/mono", "event/mono", "event/shard", "xbar gain");
-  bench::rule(74);
-  constexpr std::uint64_t kCycles = 4000;
+      "wakes per port");
+  std::printf("%6s %6s %7s %24s %24s %7s\n", "mgrs", "subs", "active",
+              "full sweep", "event-driven", "gain");
+  bench::rule(80);
   const unsigned grid[][2] = {{2, 2}, {4, 3}, {8, 6}, {16, 12}, {32, 24}};
   for (const auto& [n_mgr, n_sub] : grid) {
     const unsigned active = n_mgr >= 4 ? n_mgr / 4 : 1;
-    const double full_mono =
-        grid_rate(n_mgr, n_sub, active, SchedPolicy::kFullSweep,
-                  axi::XbarImpl::kMonolithic, kCycles);
-    const double event_mono =
-        grid_rate(n_mgr, n_sub, active, SchedPolicy::kEventDriven,
-                  axi::XbarImpl::kMonolithic, kCycles);
-    const double event_shard =
-        grid_rate(n_mgr, n_sub, active, SchedPolicy::kEventDriven,
-                  axi::XbarImpl::kSharded, kCycles);
-    std::printf("%6u %6u %7u %13.0f %13.0f %13.0f %8.2fx\n", n_mgr, n_sub,
-                active, full_mono, event_mono, event_shard,
-                event_shard / event_mono);
+    const Rate full =
+        grid_rate(n_mgr, n_sub, active, SchedPolicy::kFullSweep);
+    const Rate event =
+        grid_rate(n_mgr, n_sub, active, SchedPolicy::kEventDriven);
+    std::printf("%6u %6u %7u", n_mgr, n_sub, active);
+    print_rate(full, 24);
+    print_rate(event, 24);
+    std::printf(" %6.2fx\n", event.median / full.median);
   }
-  bench::rule(74);
-  std::printf("(cycles/s; xbar gain = sharded vs monolithic crossbar, both "
-              "event-driven)\n");
+  bench::rule(80);
+  std::printf("(k cycles/s, median [min-max] of %d timed %llu-cycle runs "
+              "after %llu untimed; gain = event-driven vs full sweep, "
+              "medians)\n",
+              kReps, static_cast<unsigned long long>(kCycles),
+              static_cast<unsigned long long>(kWarmCycles));
 }
 
 // ------------------------------------------------------------------
@@ -192,25 +216,24 @@ void print_idle_port_sweep() {
       "Idle-port sweep — 8 active managers on ever wider crossbars",
       "event-driven + sharded crossbar; the idle ports add module count, "
       "not per-cycle crossbar work");
-  std::printf("%6s %6s %7s %7s %13s %11s %12s\n", "mgrs", "subs", "ports",
+  std::printf("%6s %6s %7s %7s %24s %11s %12s\n", "mgrs", "subs", "ports",
               "active", "cycles/s", "ns/cycle", "cost vs 1st");
-  bench::rule(74);
-  constexpr std::uint64_t kCycles = 4000;
+  bench::rule(80);
   constexpr unsigned kActive = 8;
   const unsigned grid[][2] = {{32, 24}, {64, 48}, {128, 96}};
   double first_ns = 0;
   for (const auto& [n_mgr, n_sub] : grid) {
-    const double rate =
-        grid_rate(n_mgr, n_sub, kActive, SchedPolicy::kEventDriven,
-                  axi::XbarImpl::kSharded, kCycles);
-    const double ns = 1e9 / rate;
+    const Rate rate =
+        grid_rate(n_mgr, n_sub, kActive, SchedPolicy::kEventDriven);
+    const double ns = 1e9 / rate.median;
     if (first_ns == 0) first_ns = ns;
-    std::printf("%6u %6u %7u %7u %13.0f %11.0f %11.2fx\n", n_mgr, n_sub,
-                n_mgr + n_sub, kActive, rate, ns, ns / first_ns);
+    std::printf("%6u %6u %7u %7u", n_mgr, n_sub, n_mgr + n_sub, kActive);
+    print_rate(rate, 24);
+    std::printf(" %11.0f %11.2fx\n", ns, ns / first_ns);
   }
-  bench::rule(74);
-  std::printf("(ports grow 4x from the first row to the last; cost vs 1st = "
-              "ns/cycle relative to the 32x24 row)\n");
+  bench::rule(80);
+  std::printf("(ports grow 4x from the first row to the last; ns/cycle and "
+              "cost vs 1st = median ns/cycle relative to the 32x24 row)\n");
 }
 
 // ------------------------------------------------------------------
@@ -230,42 +253,36 @@ std::unique_ptr<soc::Soc> make_hgrid(unsigned n_mgr, unsigned n_cluster,
   return soc::SocBuilder::build(d);
 }
 
-double hgrid_rate(unsigned n_mgr, unsigned n_cluster, unsigned per_cluster,
-                  unsigned active, SchedPolicy policy, std::uint64_t cycles) {
-  const auto g = make_hgrid(n_mgr, n_cluster, per_cluster, active, policy);
-  const auto t0 = std::chrono::steady_clock::now();
-  g->sim().run(cycles);
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(cycles) / dt.count();
-}
-
 void print_hierarchy_knee() {
   bench::header(
       "Hierarchy dimension — flat crossbar vs 2-level clusters, same leaves",
       "hier = leaves regrouped behind latency-1 ID-remapping bridges; "
       "25% managers active, event-driven + sharded crossbars");
-  std::printf("%6s %7s %14s %16s %16s %9s\n", "mgrs", "leaves", "flat NxM",
-              "hier clusters", "hier (cyc/s)", "vs flat");
-  bench::rule(74);
-  constexpr std::uint64_t kCycles = 4000;
+  std::printf("%6s %7s %24s %14s %24s %8s\n", "mgrs", "leaves", "flat NxM",
+              "hier clusters", "hier", "vs flat");
+  bench::rule(88);
   // {n_mgr, n_cluster, per_cluster}: leaf counts match the flat grid
   // rows (8x6, 16x12, 32x24 — the knee table above).
   const unsigned grid[][3] = {{8, 2, 3}, {16, 4, 3}, {32, 8, 3}};
   for (const auto& [n_mgr, n_cluster, per] : grid) {
     const unsigned n_sub = n_cluster * per;
     const unsigned active = n_mgr >= 4 ? n_mgr / 4 : 1;
-    const double flat =
-        grid_rate(n_mgr, n_sub, active, SchedPolicy::kEventDriven,
-                  axi::XbarImpl::kSharded, kCycles);
-    const double hier = hgrid_rate(n_mgr, n_cluster, per, active,
-                                   SchedPolicy::kEventDriven, kCycles);
-    std::printf("%6u %7u %14.0f %7ux(%ux%u) %16.0f %8.2fx\n", n_mgr, n_sub,
-                flat, n_mgr, n_cluster, per, hier, hier / flat);
+    const Rate flat =
+        grid_rate(n_mgr, n_sub, active, SchedPolicy::kEventDriven);
+    const Rate hier = time_rate(
+        make_hgrid(n_mgr, n_cluster, per, active, SchedPolicy::kEventDriven)
+            ->sim());
+    char shape[32];
+    std::snprintf(shape, sizeof shape, "%ux(%ux%u)", n_mgr, n_cluster, per);
+    std::printf("%6u %7u", n_mgr, n_sub);
+    print_rate(flat, 24);
+    std::printf(" %14s", shape);
+    print_rate(hier, 24);
+    std::printf(" %7.2fx\n", hier.median / flat.median);
   }
-  bench::rule(74);
-  std::printf("(cycles/s; same managers, traffic and leaf address map in "
-              "both shapes)\n");
+  bench::rule(88);
+  std::printf("(k cycles/s, median [min-max]; same managers, traffic and "
+              "leaf address map in both shapes)\n");
 }
 
 void BM_GridSoc(benchmark::State& state) {
@@ -273,29 +290,22 @@ void BM_GridSoc(benchmark::State& state) {
   const unsigned n_sub = static_cast<unsigned>(state.range(1));
   const SchedPolicy policy = state.range(2) == 0 ? SchedPolicy::kFullSweep
                                                  : SchedPolicy::kEventDriven;
-  const axi::XbarImpl impl = state.range(3) == 0 ? axi::XbarImpl::kMonolithic
-                                                 : axi::XbarImpl::kSharded;
-  const auto g =
-      make_grid(n_mgr, n_sub, n_mgr >= 4 ? n_mgr / 4 : 1, policy, impl);
+  const auto g = make_grid(n_mgr, n_sub, n_mgr >= 4 ? n_mgr / 4 : 1, policy);
   for (auto _ : state) {
     g->sim().run(100);
   }
-  state.SetLabel(std::string(sim::sched::to_string(policy)) + "/" +
-                 to_string(impl));
+  state.SetLabel(sim::sched::to_string(policy));
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 100.0,
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GridSoc)
-    ->Args({4, 3, 0, 1})
-    ->Args({4, 3, 1, 0})
-    ->Args({4, 3, 1, 1})
-    ->Args({16, 12, 0, 1})
-    ->Args({16, 12, 1, 0})
-    ->Args({16, 12, 1, 1})
-    ->Args({32, 24, 0, 1})
-    ->Args({32, 24, 1, 0})
-    ->Args({32, 24, 1, 1})
+    ->Args({4, 3, 0})
+    ->Args({4, 3, 1})
+    ->Args({16, 12, 0})
+    ->Args({16, 12, 1})
+    ->Args({32, 24, 0})
+    ->Args({32, 24, 1})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
@@ -326,29 +336,20 @@ BENCHMARK(BM_HGridSoc)
     ->UseRealTime();
 
 /// CI does-it-run gate (`--smoke`): small grids, few cycles, and a
-/// cross-implementation determinism check — identically seeded
-/// monolithic and sharded grids must complete exactly the same traffic.
+/// determinism check — identically seeded grids must complete exactly
+/// the same traffic under the event-driven and the full-sweep kernel.
 int run_smoke() {
   int failures = 0;
   for (const auto& [n_mgr, n_sub] : {std::pair{4u, 3u}, std::pair{8u, 6u}}) {
     const unsigned active = n_mgr / 4;
-    const auto mono = make_grid(n_mgr, n_sub, active,
-                                SchedPolicy::kEventDriven,
-                                axi::XbarImpl::kMonolithic);
-    const auto shard = make_grid(n_mgr, n_sub, active,
-                                 SchedPolicy::kEventDriven,
-                                 axi::XbarImpl::kSharded);
-    const auto sweep = make_grid(n_mgr, n_sub, active,
-                                 SchedPolicy::kFullSweep,
-                                 axi::XbarImpl::kSharded);
-    mono->sim().run(500);
-    shard->sim().run(500);
+    const auto event =
+        make_grid(n_mgr, n_sub, active, SchedPolicy::kEventDriven);
+    const auto sweep = make_grid(n_mgr, n_sub, active, SchedPolicy::kFullSweep);
+    event->sim().run(500);
     sweep->sim().run(500);
-    const std::size_t done = grid_completed(*mono);
-    const bool ok = grid_completed(*shard) == done &&
-                    grid_completed(*sweep) == done && done > 0;
-    std::printf("smoke %ux%u: mono=%zu sharded=%zu sharded/full=%zu %s\n",
-                n_mgr, n_sub, done, grid_completed(*shard),
+    const std::size_t done = grid_completed(*event);
+    const bool ok = grid_completed(*sweep) == done && done > 0;
+    std::printf("smoke %ux%u: event=%zu full=%zu %s\n", n_mgr, n_sub, done,
                 grid_completed(*sweep), ok ? "OK" : "MISMATCH");
     if (!ok) ++failures;
   }

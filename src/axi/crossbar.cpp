@@ -228,7 +228,7 @@ void Crossbar::SubShard::eval() {
   // Non-wire routing decisions first: who owns the W channel (oldest
   // granted manager), and which managers the pending B/R route back to
   // (by the ID's manager bits; out-of-range IDs — injected faults —
-  // route nowhere, like the monolithic eval).
+  // route nowhere).
   const std::size_t w_m =
       st.w_route[s_].empty() ? kNone : st.w_route[s_].front();
   std::size_t b_m = kNone;
@@ -312,41 +312,31 @@ void Crossbar::SubShard::eval() {
 
 Crossbar::Crossbar(std::string name, std::vector<Link*> managers,
                    std::vector<Link*> subordinates,
-                   std::vector<AddrRange> map, unsigned id_shift,
-                   XbarImpl impl)
+                   std::vector<AddrRange> map, unsigned id_shift)
     : sim::Module(std::move(name)),
       mgrs_(std::move(managers)),
       subs_(std::move(subordinates)),
-      impl_(impl),
       st_(mgrs_.size(), subs_.size(), std::move(map), id_shift),
-      xreq_(impl == XbarImpl::kSharded ? mgrs_.size() * subs_.size() : 0),
-      xrsp_(impl == XbarImpl::kSharded ? mgrs_.size() * subs_.size() : 0),
-      sub_req_scratch_(subs_.size()),
-      mgr_rsp_scratch_(mgrs_.size()),
-      aw_tgt_(mgrs_.size(), kNone),
-      ar_tgt_(mgrs_.size(), kNone),
-      eval_aw_hint_(mgrs_.size(), 0),
-      eval_ar_hint_(mgrs_.size(), 0),
+      xreq_(mgrs_.size() * subs_.size()),
+      xrsp_(mgrs_.size() * subs_.size()),
       tick_aw_hint_(mgrs_.size(), 0),
       tick_ar_hint_(mgrs_.size(), 0),
-      xreq_occ_(impl == XbarImpl::kSharded ? subs_.size() : 0, mgrs_.size()),
+      xreq_occ_(subs_.size(), mgrs_.size()),
       xrsp_occ_(mgrs_.size(), subs_.size()),
       live_mgrs_(1, mgrs_.size()),
       evt_mgrs_(1, mgrs_.size()),
       evt_subs_(1, subs_.size()),
       dec_mgrs_(1, mgrs_.size()) {
   reset_masks();
-  if (impl_ == XbarImpl::kSharded) {
-    mgr_shards_.reserve(mgrs_.size());
-    for (std::size_t m = 0; m < mgrs_.size(); ++m) {
-      mgr_shards_.push_back(std::make_unique<MgrShard>(
-          this->name() + ".mgr" + std::to_string(m), *this, m));
-    }
-    sub_shards_.reserve(subs_.size());
-    for (std::size_t s = 0; s < subs_.size(); ++s) {
-      sub_shards_.push_back(std::make_unique<SubShard>(
-          this->name() + ".sub" + std::to_string(s), *this, s));
-    }
+  mgr_shards_.reserve(mgrs_.size());
+  for (std::size_t m = 0; m < mgrs_.size(); ++m) {
+    mgr_shards_.push_back(std::make_unique<MgrShard>(
+        this->name() + ".mgr" + std::to_string(m), *this, m));
+  }
+  sub_shards_.reserve(subs_.size());
+  for (std::size_t s = 0; s < subs_.size(); ++s) {
+    sub_shards_.push_back(std::make_unique<SubShard>(
+        this->name() + ".sub" + std::to_string(s), *this, s));
   }
 }
 
@@ -359,8 +349,6 @@ void Crossbar::visit_submodules(
 }
 
 void Crossbar::visit_inputs(sim::InputVisitor& in) {
-  for (Link* m : mgrs_) in.input(m->req);
-  for (Link* s : subs_) in.input(s->rsp);
   for (Link* l : mgrs_) {
     in.tick_input(l->req);
     in.tick_input(l->rsp);
@@ -371,159 +359,14 @@ void Crossbar::visit_inputs(sim::InputVisitor& in) {
   }
 }
 
-/// The seed's monolithic evaluation, retained verbatim in behaviour (on
-/// the shared XbarState) as the sharded path's lockstep reference. Two
-/// hot-path fixes survive even here: the per-eval output vectors are
-/// member scratch, and each manager's AW/AR target is decoded once per
-/// eval (binary search + last-hit hint) instead of once per (manager,
-/// subordinate) pair.
-void Crossbar::eval() {
-  // In sharded mode the registered shards own the output wires; a
-  // direct call here would fight them for the settled values.
-  assert(impl_ == XbarImpl::kMonolithic);
-  const std::size_t n_m = mgrs_.size();
-  const std::size_t n_s = subs_.size();
-
-  for (std::size_t s = 0; s < n_s; ++s) sub_req_scratch_[s] = AxiReq{};
-  for (std::size_t m = 0; m < n_m; ++m) {
-    mgr_rsp_scratch_[m] = AxiRsp{};
-    const AxiReq& mq = mgrs_[m]->req.read();
-    aw_tgt_[m] = mq.aw_valid
-                     ? st_.decoder.lookup(mq.aw.addr, eval_aw_hint_[m])
-                     : kNone;
-    ar_tgt_[m] = mq.ar_valid
-                     ? st_.decoder.lookup(mq.ar.addr, eval_ar_hint_[m])
-                     : kNone;
-  }
-
-  // ------------------------- AW arbitration -------------------------
-  for (std::size_t s = 0; s < n_s; ++s) {
-    for (std::size_t k = 0; k < n_m; ++k) {
-      const std::size_t m = (st_.aw_rr[s] + k) % n_m;
-      const AxiReq& mq = mgrs_[m]->req.read();
-      if (aw_tgt_[m] == s && st_.aw_id_route[m].allows(mq.aw.id, s)) {
-        sub_req_scratch_[s].aw_valid = true;
-        sub_req_scratch_[s].aw = mq.aw;
-        sub_req_scratch_[s].aw.id = (mq.aw.id & st_.id_mask) |
-                                    (static_cast<Id>(m) << st_.id_shift);
-        mgr_rsp_scratch_[m].aw_ready = subs_[s]->rsp.read().aw_ready;
-        break;
-      }
-    }
-  }
-  // AW to the DECERR default subordinate: always ready.
-  for (std::size_t m = 0; m < n_m; ++m) {
-    const AxiReq& mq = mgrs_[m]->req.read();
-    if (aw_tgt_[m] == kDecErr &&
-        st_.aw_id_route[m].allows(mq.aw.id, kDecErr)) {
-      mgr_rsp_scratch_[m].aw_ready = true;
-    }
-  }
-
-  // --------------------------- W routing ----------------------------
-  for (std::size_t s = 0; s < n_s; ++s) {
-    if (st_.w_route[s].empty()) continue;
-    const std::size_t m = st_.w_route[s].front();
-    if (st_.mgr_w_route[m].empty() || st_.mgr_w_route[m].front() != s) {
-      continue;
-    }
-    const AxiReq& mq = mgrs_[m]->req.read();
-    sub_req_scratch_[s].w_valid = mq.w_valid;
-    sub_req_scratch_[s].w = mq.w;
-    mgr_rsp_scratch_[m].w_ready = subs_[s]->rsp.read().w_ready;
-  }
-  // W beats destined for the DECERR subordinate: swallow at full rate.
-  for (std::size_t m = 0; m < n_m; ++m) {
-    if (!st_.mgr_w_route[m].empty() &&
-        st_.mgr_w_route[m].front() == kDecErr) {
-      mgr_rsp_scratch_[m].w_ready = mgrs_[m]->req.read().w_valid;
-    }
-  }
-
-  // ------------------------- AR arbitration -------------------------
-  for (std::size_t s = 0; s < n_s; ++s) {
-    for (std::size_t k = 0; k < n_m; ++k) {
-      const std::size_t m = (st_.ar_rr[s] + k) % n_m;
-      const AxiReq& mq = mgrs_[m]->req.read();
-      if (ar_tgt_[m] == s && st_.ar_id_route[m].allows(mq.ar.id, s)) {
-        sub_req_scratch_[s].ar_valid = true;
-        sub_req_scratch_[s].ar = mq.ar;
-        sub_req_scratch_[s].ar.id = (mq.ar.id & st_.id_mask) |
-                                    (static_cast<Id>(m) << st_.id_shift);
-        mgr_rsp_scratch_[m].ar_ready = subs_[s]->rsp.read().ar_ready;
-        break;
-      }
-    }
-  }
-  for (std::size_t m = 0; m < n_m; ++m) {
-    const AxiReq& mq = mgrs_[m]->req.read();
-    if (ar_tgt_[m] == kDecErr &&
-        st_.ar_id_route[m].allows(mq.ar.id, kDecErr)) {
-      mgr_rsp_scratch_[m].ar_ready = true;
-    }
-  }
-
-  // --------------------------- B routing ----------------------------
-  for (std::size_t m = 0; m < n_m; ++m) {
-    // Sources: each sub with b_valid for this manager, plus the DECERR
-    // queue. Round-robin over n_s + 1 virtual sources.
-    for (std::size_t k = 0; k <= n_s; ++k) {
-      const std::size_t src = (st_.b_rr[m] + k) % (n_s + 1);
-      if (src < n_s) {
-        const AxiRsp& sr = subs_[src]->rsp.read();
-        if (sr.b_valid && (sr.b.id >> st_.id_shift) == m) {
-          mgr_rsp_scratch_[m].b_valid = true;
-          mgr_rsp_scratch_[m].b = BFlit{sr.b.id & st_.id_mask, sr.b.resp};
-          sub_req_scratch_[src].b_ready = mgrs_[m]->req.read().b_ready;
-          break;
-        }
-      } else if (const DecErrWrite* t = st_.first_done_write(m)) {
-        mgr_rsp_scratch_[m].b_valid = true;
-        mgr_rsp_scratch_[m].b = BFlit{t->id, Resp::kDecErr};
-        break;
-      }
-    }
-  }
-
-  // --------------------------- R routing ----------------------------
-  for (std::size_t m = 0; m < n_m; ++m) {
-    for (std::size_t k = 0; k <= n_s; ++k) {
-      const std::size_t src = (st_.r_rr[m] + k) % (n_s + 1);
-      if (src < n_s) {
-        const AxiRsp& sr = subs_[src]->rsp.read();
-        if (sr.r_valid && (sr.r.id >> st_.id_shift) == m) {
-          mgr_rsp_scratch_[m].r_valid = true;
-          mgr_rsp_scratch_[m].r = RFlit{sr.r.id & st_.id_mask, sr.r.data,
-                                        sr.r.resp, sr.r.last};
-          sub_req_scratch_[src].r_ready = mgrs_[m]->req.read().r_ready;
-          break;
-        }
-      } else if (!st_.dec_r[m].empty()) {
-        const DecErrRead& t = st_.dec_r[m].front();
-        mgr_rsp_scratch_[m].r_valid = true;
-        mgr_rsp_scratch_[m].r = RFlit{t.id, 0, Resp::kDecErr,
-                                      t.beats_left == 1};
-        break;
-      }
-    }
-  }
-
-  for (std::size_t s = 0; s < n_s; ++s) {
-    subs_[s]->req.write(sub_req_scratch_[s]);
-  }
-  for (std::size_t m = 0; m < n_m; ++m) {
-    mgrs_[m]->rsp.write(mgr_rsp_scratch_[m]);
-  }
-}
-
-/// Commits the cycle's handshakes into the shared XbarState — identical
-/// bookkeeping for both implementations — and recomputes the per-shard
-/// edge-activity flags: a shard is marked only when the edge mutated
-/// state its eval reads (grant FIFOs, round-robin pointers, ID routes,
-/// DECERR queues); pure wire traffic is traced by the scheduler. The
-/// work is O(active ports): only live manager ports are read, a B/R
-/// source is sought among the manager's occupied response wires, and
-/// only the flags of this edge and the previous one are touched.
+/// Commits the cycle's handshakes into the shared XbarState and
+/// recomputes the per-shard edge-activity flags: a shard is marked only
+/// when the edge mutated state its eval reads (grant FIFOs, round-robin
+/// pointers, ID routes, DECERR queues); pure wire traffic is traced by
+/// the scheduler. The work is O(active ports): only live manager ports
+/// are read, a B/R source is sought among the manager's occupied
+/// response wires, and only the flags of this edge and the previous one
+/// are touched.
 void Crossbar::tick() {
   const std::size_t n_m = mgrs_.size();
   const std::size_t n_s = subs_.size();
@@ -532,11 +375,11 @@ void Crossbar::tick() {
   // shard's report, is already clear.
   evt_mgrs_.for_each(0, [&](std::size_t m) {
     st_.mgr_evt[m] = 0;
-    report_mgr(m, false);
+    mgr_shards_[m]->report(false);
   });
   evt_subs_.for_each(0, [&](std::size_t s) {
     st_.sub_evt[s] = 0;
-    report_sub(s, false);
+    sub_shards_[s]->report(false);
   });
   evt_mgrs_.fill(false);
   evt_subs_.fill(false);
@@ -549,9 +392,9 @@ void Crossbar::tick() {
     evt_subs_.set(0, s);
   };
 
-  // Facade-level (monolithic) activity mirrors the seed's conservative
-  // formula: quiet ports all around and empty DECERR queues mean the
-  // edge was a provable no-op for eval().
+  // The facade's own edge report: quiet ports all around and empty
+  // DECERR queues mean the edge committed nothing and the next one
+  // cannot either, so the facade may sleep.
   bool evt = dec_mgrs_.any();
 
   // A port outside live_mgrs_ carries no valid in either direction, so
@@ -657,8 +500,8 @@ void Crossbar::tick() {
     dec_mgrs_.assign(0, m, !st_.dec_w[m].empty() || !st_.dec_r[m].empty());
   });
   tick_evt_ = evt;
-  evt_mgrs_.for_each(0, [&](std::size_t m) { report_mgr(m, true); });
-  evt_subs_.for_each(0, [&](std::size_t s) { report_sub(s, true); });
+  evt_mgrs_.for_each(0, [&](std::size_t m) { mgr_shards_[m]->report(true); });
+  evt_subs_.for_each(0, [&](std::size_t s) { sub_shards_[s]->report(true); });
   // Quiet manager ports and drained DECERR queues: no handshake can
   // fire, and every per-shard flag is already clear. The kernel reads the
   // shards' reports only at edges this facade ticks at, so they stay
@@ -666,17 +509,9 @@ void Crossbar::tick() {
   set_tick_idle(!evt);
 }
 
-void Crossbar::report_mgr(std::size_t m, bool evt) {
-  if (!mgr_shards_.empty()) mgr_shards_[m]->report(evt);
-}
-
-void Crossbar::report_sub(std::size_t s, bool evt) {
-  if (!sub_shards_.empty()) sub_shards_[s]->report(evt);
-}
-
 void Crossbar::reset_masks() {
   xreq_occ_.fill(false);
-  xrsp_occ_.fill(impl_ == XbarImpl::kMonolithic);
+  xrsp_occ_.fill(false);
   live_mgrs_.fill(true);
   evt_mgrs_.fill(true);
   evt_subs_.fill(true);
@@ -687,7 +522,6 @@ void Crossbar::rebuild_masks() {
   reset_masks();
   for (std::size_t m = 0; m < mgrs_.size(); ++m) {
     if (!st_.dec_w[m].empty() || !st_.dec_r[m].empty()) dec_mgrs_.set(0, m);
-    if (impl_ == XbarImpl::kMonolithic) continue;
     for (std::size_t s = 0; s < subs_.size(); ++s) {
       if (!(xreq(m, s).read() == AxiReq{})) xreq_occ_.set(s, m);
       if (!(xrsp(m, s).read() == AxiRsp{})) xrsp_occ_.set(m, s);

@@ -17,27 +17,6 @@
 
 namespace axi {
 
-/// How the crossbar evaluates its combinational paths.
-enum class XbarImpl {
-  /// Per-port shards (default): M request-path shards (AW/AR
-  /// arbitration + W routing for one subordinate) and N response-path
-  /// shards (decode/demux + B/R mux for one manager), coupled through
-  /// internal per-(manager, subordinate) wires. Each shard is its own
-  /// sim::Module, so the event-driven scheduler wakes only shards whose
-  /// wires actually changed — an idle port costs zero evals, and a busy
-  /// port's eval scans only the internal wires its occupancy mask marks,
-  /// O(active ports) instead of O(N) or O(M).
-  kSharded,
-  /// Single monolithic eval over all ports (the seed behaviour on the
-  /// shared XbarState). Retained as the lockstep cross-check reference
-  /// and for bring-up.
-  kMonolithic,
-};
-
-inline const char* to_string(XbarImpl i) {
-  return i == XbarImpl::kSharded ? "sharded" : "monolithic";
-}
-
 /// Rows of bits over crossbar ports: row r holds `width` bits in
 /// ceil(width / 64) words, walked one set bit at a time with
 /// std::countr_zero. The crossbar keeps its derived occupancy state in
@@ -126,34 +105,34 @@ class PortMasks {
 ///   transactions drain (standard axi_xbar behaviour), because responses
 ///   from distinct subordinates could otherwise interleave out of order.
 ///
-/// This class is a thin facade over the sharded evaluation architecture:
-/// all registered state lives in one XbarState committed by tick()
-/// exactly once per edge, while the combinational work runs either in
-/// the per-port shards (XbarImpl::kSharded, registered automatically via
-/// Simulator::add's submodule visit) or in the retained monolithic
-/// eval() (XbarImpl::kMonolithic). Both implementations are wire-exact
-/// equivalents, pinned by tests/test_xbar_shard_equiv.cpp.
+/// This class is a thin facade over per-port shards: M request-path
+/// shards (AW/AR arbitration + W routing for one subordinate) and N
+/// response-path shards (decode/demux + B/R mux for one manager),
+/// coupled through internal per-(manager, subordinate) wires. Each
+/// shard is its own sim::Module, registered automatically via
+/// Simulator::add's submodule visit, so the event-driven scheduler
+/// wakes only shards whose wires changed: an idle port costs zero
+/// evals, and a busy port's eval scans only the internal wires its
+/// occupancy mask marks, O(active ports) instead of O(N) or O(M). All
+/// registered state lives in one XbarState committed by tick() exactly
+/// once per edge. tests/test_xbar_shard_equiv.cpp pins every external
+/// link of its netlists against committed link-trace digests.
 class Crossbar : public sim::Module {
  public:
   Crossbar(std::string name, std::vector<Link*> managers,
            std::vector<Link*> subordinates, std::vector<AddrRange> map,
-           unsigned id_shift = 8, XbarImpl impl = XbarImpl::kSharded);
+           unsigned id_shift = 8);
   ~Crossbar() override;
 
-  void eval() override;  ///< monolithic reference eval (kMonolithic only)
   void tick() override;
   void reset() override;
-  /// In sharded mode the facade drives no wires — the shards do — so
-  /// both settle kernels skip its eval entirely.
-  bool is_combinational() const override {
-    return impl_ == XbarImpl::kMonolithic;
-  }
+  /// The facade drives no wires — the shards do — so both settle
+  /// kernels skip its eval entirely.
+  bool is_combinational() const override { return false; }
   void visit_submodules(
       const std::function<void(sim::Module&)>& visit) override;
-  /// The monolithic eval's inputs: every manager request and every
-  /// subordinate response (the sharded facade is not combinational, so
-  /// the scheduler only takes its shards' eval inputs), plus both
-  /// directions of every port that tick() samples.
+  /// Both directions of every port, which tick() samples; the shards
+  /// declare their own eval inputs.
   void visit_inputs(sim::InputVisitor& in) override;
   /// Facade-owned registered state + the internal shard-coupling wires;
   /// the shards' own scratch (stale-wire bookkeeping) rides along via
@@ -161,7 +140,6 @@ class Crossbar : public sim::Module {
   void visit_state(sim::StateVisitor& v) override;
 
   std::size_t decode_errors() const { return st_.decode_errors; }
-  XbarImpl impl() const { return impl_; }
 
  private:
   class MgrShard;
@@ -209,10 +187,6 @@ class Crossbar : public sim::Module {
   /// After a restore: reset_masks(), then occupancy from the loaded
   /// internal wires and DECERR activity from the loaded queues.
   void rebuild_masks();
-  /// Sets manager shard m's (sub shard s's) edge report; no-op without
-  /// shards.
-  void report_mgr(std::size_t m, bool evt);
-  void report_sub(std::size_t s, bool evt);
 
   sim::Wire<AxiReq>& xreq(std::size_t m, std::size_t s) {
     return xreq_[m * subs_.size() + s];
@@ -223,10 +197,9 @@ class Crossbar : public sim::Module {
 
   std::vector<Link*> mgrs_;
   std::vector<Link*> subs_;
-  XbarImpl impl_;
   XbarState st_;
 
-  // Internal shard-to-shard wires, [m * n_s + s] (sharded mode only).
+  // Internal shard-to-shard wires, [m * n_s + s].
   // Request direction carries the demuxed per-pair valids/payloads and
   // the response-channel readies; response direction carries the
   // per-pair grant readies and the demuxed B/R flits.
@@ -235,22 +208,12 @@ class Crossbar : public sim::Module {
   std::vector<std::unique_ptr<MgrShard>> mgr_shards_;
   std::vector<std::unique_ptr<SubShard>> sub_shards_;
 
-  // Monolithic-eval scratch, hoisted out of the per-eval hot path (the
-  // seed allocated both vectors on every eval).
-  std::vector<AxiReq> sub_req_scratch_;
-  std::vector<AxiRsp> mgr_rsp_scratch_;
-  std::vector<std::size_t> aw_tgt_;  ///< per mgr: decoded AW target
-  std::vector<std::size_t> ar_tgt_;
-  std::vector<std::uint32_t> eval_aw_hint_;  ///< decoder last-hit caches
-  std::vector<std::uint32_t> eval_ar_hint_;
-  std::vector<std::uint32_t> tick_aw_hint_;
+  std::vector<std::uint32_t> tick_aw_hint_;  ///< decoder last-hit caches
   std::vector<std::uint32_t> tick_ar_hint_;
 
   // Derived state: never serialized; see reset_masks(). A set
   // bit means "may be active", so a superset is always safe — a default
   // wire or a quiet port contributes nothing to the scan that reads it.
-  // Under kMonolithic (no shards) xrsp_occ_ and live_mgrs_ stay all
-  // ones, so tick() keeps one code path.
   /// Row s: managers m whose xreq(m, s) may be non-default — between
   /// rebuilds, exactly the ports m whose MgrShard holds s in its
   /// stale-wire slots. SubShard s scans only these.

@@ -198,11 +198,9 @@ struct DecErrRead {
   }
 };
 
-/// All registered (clocked) crossbar state, shared between the sharded
-/// and the monolithic evaluation paths and mutated only by the facade's
-/// tick()/reset(). Indexed flat so both per-port shards and the
-/// reference eval address exactly the same bits — the lockstep
-/// equivalence test leans on that.
+/// All registered (clocked) crossbar state: read by the per-port shards'
+/// evals, indexed by port, and mutated only by the facade's
+/// tick()/reset(), once per edge.
 struct XbarState {
   static constexpr std::size_t kDecErr = AddrDecoder::kNoMatch;
 

@@ -431,7 +431,7 @@ std::unique_ptr<Soc> SocBuilder::build(const SocDesc& desc) {
             map.push_back(axi::AddrRange{subs[i].base, subs[i].size, i});
           }
           add(std::make_unique<axi::Crossbar>(xbar_name, ports, heads, map,
-                                              id_shift, d.xbar_impl));
+                                              id_shift));
         }
 
         for (std::size_t si = 0; si < subs.size(); ++si) {

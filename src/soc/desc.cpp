@@ -152,7 +152,17 @@ void fields(V& v, SocDesc& d) {
   v("crossbar", d.crossbar);
   v("xbar_name", d.xbar_name);
   v("id_shift", d.id_shift);
-  v.name("xbar_impl", d.xbar_impl, axi::XbarImpl::kMonolithic, "crossbar impl");
+  // A fixed key: the crossbar has one implementation, and the key keeps
+  // the bytes of every document and topology hash. A missing key reads
+  // as "sharded".
+  std::string xbar_impl = "sharded";
+  v("xbar_impl", xbar_impl);
+  if constexpr (V::kReading) {
+    if (xbar_impl != "sharded") {
+      v.fail(v.ctx("xbar_impl") + ": unsupported crossbar impl \"" +
+             xbar_impl + "\" (only \"sharded\" exists)");
+    }
+  }
   v.name("policy", d.policy, sim::sched::SchedPolicy::kEventDriven,
          "sched policy");
   v.array("managers", d.managers);

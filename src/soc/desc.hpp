@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "axi/bridge.hpp"
-#include "axi/crossbar.hpp"
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
 #include "sim/sched/sched.hpp"
@@ -212,7 +211,6 @@ struct SocDesc {
   bool crossbar = true;
   std::string xbar_name = "xbar";
   unsigned id_shift = 8;
-  axi::XbarImpl xbar_impl = axi::XbarImpl::kSharded;
 
   sim::sched::SchedPolicy policy = sim::sched::SchedPolicy::kEventDriven;
 

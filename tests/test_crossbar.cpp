@@ -1,8 +1,7 @@
-// Crossbar unit suite, parameterized over both evaluation
-// implementations (sharded / monolithic): address-map validation,
-// same-ID ordering stalls across subordinates, DECERR burst responses,
-// and round-robin fairness at asymmetric N x M sizes. Before this suite
-// the crossbar was only exercised indirectly through system tests.
+// Crossbar unit suite: address-map validation, same-ID ordering stalls
+// across subordinates, DECERR burst responses, the facade's edge report
+// while DECERR responses are queued, and round-robin fairness at
+// asymmetric N x M sizes.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +22,8 @@ namespace {
 using namespace axi;
 
 // ------------------------------------------------------------------
-// Address-map validation (implementation-independent: the decoder is
-// built by the shared XbarState before either eval path exists).
+// Address-map validation (the decoder is built with the XbarState,
+// before any shard exists).
 // ------------------------------------------------------------------
 
 TEST(XbarMapValidation, RejectsZeroSizeRange) {
@@ -81,10 +80,8 @@ TEST(XbarMapValidation, AcceptsUnsortedDisjointMapAndRoutesCorrectly) {
 }
 
 // ------------------------------------------------------------------
-// Behaviour suite, run for both implementations.
+// Behaviour suite
 // ------------------------------------------------------------------
-
-class XbarImplTest : public ::testing::TestWithParam<XbarImpl> {};
 
 /// Simple n_m x n_s testbench with 64 KiB windows per subordinate.
 struct Bench {
@@ -95,8 +92,7 @@ struct Bench {
   std::unique_ptr<Crossbar> xbar;
   sim::Simulator s;
 
-  Bench(unsigned n_m, unsigned n_s, XbarImpl impl,
-        MemoryConfig mem_cfg = {}) {
+  Bench(unsigned n_m, unsigned n_s, MemoryConfig mem_cfg = {}) {
     std::vector<Link*> mp, sp;
     std::vector<AddrRange> map;
     for (unsigned i = 0; i < n_m; ++i) {
@@ -114,7 +110,7 @@ struct Bench {
           "mem" + std::to_string(j), *links.back(), mem_cfg));
       map.push_back(AddrRange{j * 0x1'0000ull, 0x1'0000ull, j});
     }
-    xbar = std::make_unique<Crossbar>("xbar", mp, sp, map, 8, impl);
+    xbar = std::make_unique<Crossbar>("xbar", mp, sp, map, 8);
     for (auto& g : gens) s.add(*g);
     s.add(*xbar);
     for (auto& m : mems) s.add(*m);
@@ -128,10 +124,10 @@ struct Bench {
 
 // A manager's second same-ID write towards a *different* subordinate
 // must stall until the first drains; a different-ID write must not.
-TEST_P(XbarImplTest, SameIdOrderingStallsAcrossSubordinates) {
+TEST(XbarBehaviour, SameIdOrderingStallsAcrossSubordinates) {
   MemoryConfig slow;
   slow.b_latency = 20;  // widen the outstanding window
-  Bench b(1, 2, GetParam(), slow);
+  Bench b(1, 2, slow);
   b.gens[0]->push(TxnDesc{true, 5, 0x00000, 0, 3, Burst::kIncr});  // sub 0
   b.gens[0]->push(TxnDesc{true, 5, 0x10000, 0, 3, Burst::kIncr});  // sub 1
 
@@ -154,7 +150,7 @@ TEST_P(XbarImplTest, SameIdOrderingStallsAcrossSubordinates) {
   EXPECT_GT(sub1_aw_at, first_b_at);
 
   // Control: distinct IDs overlap freely.
-  Bench b2(1, 2, GetParam(), slow);
+  Bench b2(1, 2, slow);
   b2.gens[0]->push(TxnDesc{true, 5, 0x00000, 0, 3, Burst::kIncr});
   b2.gens[0]->push(TxnDesc{true, 6, 0x10000, 0, 3, Burst::kIncr});
   std::uint64_t overlap_at = 0;
@@ -172,8 +168,8 @@ TEST_P(XbarImplTest, SameIdOrderingStallsAcrossSubordinates) {
 
 // Unmapped write and read bursts complete with DECERR: one B per write,
 // a full R burst (with correct last positioning) per read.
-TEST_P(XbarImplTest, DecErrBurstResponses) {
-  Bench b(2, 2, GetParam());
+TEST(XbarBehaviour, DecErrBurstResponses) {
+  Bench b(2, 2);
   const Addr unmapped = 0x40'0000;
   b.gens[0]->push(TxnDesc{true, 3, unmapped, 3, 3, Burst::kIncr});
   b.gens[1]->push(TxnDesc{false, 4, unmapped + 0x100, 7, 3, Burst::kIncr});
@@ -206,8 +202,8 @@ TEST_P(XbarImplTest, DecErrBurstResponses) {
 // even while its manager's port is quiet: a DECERR write whose W beats
 // have not started keeps the facade ticking, and a drained queue lets it
 // sleep.
-TEST_P(XbarImplTest, QueuedDecErrKeepsTheFacadeAwake) {
-  Bench b(3, 2, GetParam());
+TEST(XbarBehaviour, QueuedDecErrKeepsTheFacadeAwake) {
+  Bench b(3, 2);
   b.gens[2]->set_w_start_delay(12);
   b.gens[2]->push(TxnDesc{true, 1, 0x40'0000, 1, 3, Burst::kIncr});
   const Link& port = b.mgr(2);
@@ -229,14 +225,14 @@ TEST_P(XbarImplTest, QueuedDecErrKeepsTheFacadeAwake) {
 
 // Round-robin fairness at asymmetric sizes: under saturating contention
 // every manager makes comparable progress.
-TEST_P(XbarImplTest, RoundRobinFairnessAsymmetricGrids) {
+TEST(XbarBehaviour, RoundRobinFairnessAsymmetricGrids) {
   const struct {
     unsigned n_m, n_s;
     std::uint64_t cycles;
   } kGrids[] = {{1, 4, 4000}, {4, 1, 6000}, {8, 6, 8000}};
   for (const auto& g : kGrids) {
     SCOPED_TRACE(std::to_string(g.n_m) + "x" + std::to_string(g.n_s));
-    Bench b(g.n_m, g.n_s, GetParam());
+    Bench b(g.n_m, g.n_s);
     RandomTrafficConfig rc;
     rc.enabled = true;
     rc.p_new_txn = 0.5;  // saturate
@@ -263,12 +259,5 @@ TEST_P(XbarImplTest, RoundRobinFairnessAsymmetricGrids) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothImpls, XbarImplTest,
-                         ::testing::Values(XbarImpl::kSharded,
-                                           XbarImpl::kMonolithic),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 }  // namespace

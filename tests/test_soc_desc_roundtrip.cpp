@@ -4,10 +4,12 @@
 // and the FNV-1a topology hash must react to any nested field change.
 // Plus the schema-migration smoke: a committed v1 document (predating
 // clusters and bank timing) still parses, equals the desc it was
-// generated from, and re-emits upgraded to v2.
+// generated from, and re-emits upgraded to v2; and the fixed
+// "xbar_impl" key, which reads "sharded" or nothing.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "sim/bytes.hpp"
@@ -101,8 +103,6 @@ SocDesc random_desc(std::uint64_t seed) {
   SocDesc d;
   d.name = name_of("fuzz", seed);
   d.id_shift = static_cast<unsigned>(rng.range(4, 16));
-  d.xbar_impl = rng.chance(0.5) ? axi::XbarImpl::kSharded
-                                : axi::XbarImpl::kMonolithic;
   d.policy = rng.chance(0.5) ? sim::sched::SchedPolicy::kEventDriven
                              : sim::sched::SchedPolicy::kFullSweep;
   const std::uint64_t n_mgr = rng.range(1, 3);
@@ -268,6 +268,52 @@ TEST(SocDescRoundTrip, GuardSiteVariantsAreDistinctTopologies) {
     const SocDesc back = SocDesc::from_json(d->to_json());
     EXPECT_TRUE(back == *d);
     EXPECT_EQ(back.hash(), d->hash());
+  }
+}
+
+// ------------------------------------------------------------------
+// "xbar_impl": a fixed key. Every document carries "sharded"; a
+// document without the key reads the same, and any other value fails.
+// ------------------------------------------------------------------
+
+/// `json` with its `"xbar_impl": "sharded"` line replaced by `line`.
+std::string replace_xbar_impl(const std::string& json,
+                              const std::string& line) {
+  const std::string pinned = "  \"xbar_impl\": \"sharded\",\n";
+  const std::size_t at = json.find(pinned);
+  EXPECT_NE(at, std::string::npos) << json;
+  if (at == std::string::npos) return json;
+  return json.substr(0, at) + line + json.substr(at + pinned.size());
+}
+
+TEST(SocDescXbarKey, MonolithicAndUnknownValuesAreRejectedByName) {
+  const std::string json = soc::cheshire_desc({}).to_json();
+  for (const char* value : {"monolithic", "zz", ""}) {
+    const std::string doc = replace_xbar_impl(
+        json, std::string("  \"xbar_impl\": \"") + value + "\",\n");
+    try {
+      SocDesc::from_json(doc);
+      ADD_FAILURE() << "\"" << value << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("SocDesc::from_json: ", 0), 0u) << what;
+      EXPECT_NE(what.find("xbar_impl"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + value + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(SocDescXbarKey, MissingKeyReadsAsShardedAndReEmitsIt) {
+  for (const SocDesc& d :
+       {soc::cheshire_desc({}), soc::grid_desc(4, 3, 1),
+        soc::hierarchical_desc({})}) {
+    const std::string json = d.to_json();
+    const SocDesc back = SocDesc::from_json(replace_xbar_impl(json, ""));
+    EXPECT_TRUE(back == d) << d.name;
+    EXPECT_EQ(back.to_json(), json) << d.name;
+    EXPECT_EQ(back.hash(), d.hash()) << d.name;
   }
 }
 
