@@ -93,12 +93,14 @@ TMU_CAMPAIGN_WORKER=./build/campaign_worker \
 echo "check.sh: distributed-campaign dispatcher recovery OK"
 
 # Snapshot gate: tmu-soc-snapshot-v2 strict-decode rejection paths +
-# committed fixture byte-pin, the hier-grid/Cheshire round-trip fuzz,
+# committed fixture byte-pin, the hier-grid/Cheshire round-trip fuzz, a
+# repeated restore into one netlist pinned at zero heap allocations,
 # then the cold-vs-fork equivalence contract: a warm-up-heavy campaign
 # run via snapshot forking must report byte-identically to the cold run
 # (the snapshot_fork example exits nonzero on any divergence).
 ./build/test_snapshot_format --gtest_brief=1
 ./build/test_snapshot_roundtrip --gtest_brief=1
+./build/test_snapshot_alloc --gtest_brief=1
 ./build/test_snapshot_fork --gtest_brief=1
 ./build/snapshot_fork > /dev/null
 echo "check.sh: snapshot fork-vs-cold equivalence OK"

@@ -137,7 +137,9 @@ class Bridge : public sim::Module {
     }
 
     /// State serde: slots only; map_ is a derived index rebuilt on load
-    /// (unordered iteration never reaches the byte stream).
+    /// (unordered iteration never reaches the byte stream), and only
+    /// where it disagrees with the loaded slots, so a restore that finds
+    /// it right keeps its nodes.
     template <typename V>
     void visit_fields(V& v) {
       std::uint64_t n = slots_.size();
@@ -151,7 +153,7 @@ class Bridge : public sim::Module {
         visit(v, s.id);
         visit(v, s.outstanding);
       }
-      if (!v.saving()) {
+      if (!v.saving() && !index_matches()) {
         map_.clear();
         for (std::uint32_t i = 0; i < slots_.size(); ++i) {
           if (slots_[i].outstanding > 0) map_[slots_[i].id] = i;
@@ -168,6 +170,17 @@ class Bridge : public sim::Module {
       const auto it = map_.find(id);
       if (it == map_.end()) return std::nullopt;
       return it->second;
+    }
+    /// map_ is exactly what rebuilding it from slots_ would give.
+    bool index_matches() const {
+      std::size_t live = 0;
+      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].outstanding == 0) continue;
+        ++live;
+        const auto it = map_.find(slots_[i].id);
+        if (it == map_.end() || it->second != i) return false;
+      }
+      return live == map_.size();
     }
     std::optional<std::uint32_t> free_slot() const {
       for (std::uint32_t i = 0; i < slots_.size(); ++i) {

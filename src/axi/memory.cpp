@@ -216,27 +216,36 @@ void MemorySubordinate::reset() {
 }
 
 void MemorySubordinate::visit_state(sim::StateVisitor& v) {
-  // Paged store, page-number order: the unordered map's iteration order
-  // is not part of the model's behavior, so the snapshot canonicalizes
-  // it (byte-stable capture for identical memory contents).
+  // Paged store in page-number order: byte-stable capture for identical
+  // memory contents.
   std::uint64_t n_pages = mem_.size();
   v.count(n_pages);
   if (v.saving()) {
-    std::vector<Addr> pnos;
-    pnos.reserve(mem_.size());
-    for (const auto& [pno, page] : mem_) pnos.push_back(pno);
-    std::sort(pnos.begin(), pnos.end());
-    for (Addr pno : pnos) {
-      v.u64(pno);
-      v.raw(mem_[pno].data(), kPageBytes);
+    for (auto& [pno, page] : mem_) {
+      Addr no = pno;
+      v.u64(no);
+      v.raw(page.data(), kPageBytes);
     }
   } else {
-    mem_.clear();
+    // Page numbers must strictly increase, as capture writes them: one
+    // merge walk then reuses the page of every number that stays and
+    // erases the pages the image lacks.
+    auto it = mem_.begin();  // pages not yet matched, all past `last`
+    Addr last = 0;
     for (std::uint64_t i = 0; i < n_pages; ++i) {
       Addr pno = 0;
       v.u64(pno);
-      v.raw(mem_[pno].data(), kPageBytes);
+      if (i > 0 && pno <= last) {
+        v.fail("memory page numbers must increase: page " +
+               std::to_string(pno) + " follows page " + std::to_string(last));
+      }
+      while (it != mem_.end() && it->first < pno) it = mem_.erase(it);
+      if (it == mem_.end() || it->first != pno) it = mem_.try_emplace(it, pno);
+      v.raw(it->second.data(), kPageBytes);
+      ++it;
+      last = pno;
     }
+    mem_.erase(it, mem_.end());
     r_cache_no_ = 0;
     r_cache_page_ = nullptr;
     w_cache_no_ = 0;

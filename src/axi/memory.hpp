@@ -3,9 +3,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "axi/link.hpp"
@@ -141,13 +141,14 @@ class MemorySubordinate : public sim::Module {
   void store_beat(Addr a, std::uint8_t size, Data data, std::uint8_t strb);
   Data load_beat(Addr a, std::uint8_t size) const;
 
-  // Sparse paged backing store: one hash per 4 KiB page (with last-hit
-  // caches) instead of the seed's hash per byte, which dominated the
-  // per-cycle profile under burst traffic. Beats are size-aligned and
-  // capped at 8 bytes, so a beat never straddles a page. Node-based map:
-  // page pointers stay valid across inserts, so the caches only need
-  // resetting if the map were ever cleared (it is not — reset() and
-  // hw_reset() keep storage, like real DRAM).
+  // Sparse paged backing store: one map node per 4 KiB page (with
+  // last-hit caches) instead of the seed's hash per byte, which dominated
+  // the per-cycle profile under burst traffic. Beats are size-aligned and
+  // capped at 8 bytes, so a beat never straddles a page. Ordered by page
+  // number, so capture writes the pages in order and restore merges them
+  // in one walk. Node-based map: page pointers stay valid across inserts,
+  // so the caches only need resetting when restore erases pages (reset()
+  // and hw_reset() keep storage, like real DRAM).
   static constexpr std::uint64_t kPageBytes = 4096;
   using Page = std::array<std::uint8_t, kPageBytes>;
 
@@ -175,7 +176,7 @@ class MemorySubordinate : public sim::Module {
 
   Link& link_;
   MemoryConfig cfg_;
-  std::unordered_map<Addr, Page> mem_;  ///< keyed on page number
+  std::map<Addr, Page> mem_;  ///< keyed on page number
   mutable Addr r_cache_no_ = 0;
   mutable const Page* r_cache_page_ = nullptr;
   Addr w_cache_no_ = 0;

@@ -42,6 +42,8 @@ struct TxnRecord {
   std::uint64_t accept_cycle = 0;    ///< AW/AR handshake cycle
   std::uint64_t complete_cycle = 0;  ///< B handshake / R last handshake
   Resp resp = Resp::kOkay;
+  /// Flat (sim/state.hpp): a log of these loads with one bounds check.
+  static constexpr bool kFlatState = true;
   template <typename V>
   void visit_fields(V& v) {
     visit(v, desc);

@@ -2,6 +2,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 namespace axi {
@@ -22,14 +23,21 @@ enum class Burst : std::uint8_t { kFixed = 0, kIncr = 1, kWrap = 2 };
 /// Largest AxSIZE (3 bits): 128-byte beats.
 inline constexpr std::uint8_t kMaxSize = 7;
 
+/// The load checks' messages are built out of line (here and in
+/// fail_beats_left()), so an inlined check costs one compare.
+template <typename V>
+[[noreturn, gnu::cold, gnu::noinline]] void fail_size(V& v,
+                                                      std::uint8_t size) {
+  v.fail("AXI size " + std::to_string(size) + " exceeds " +
+         std::to_string(kMaxSize));
+  std::abort();  // fail() throws; GCC does not see a virtual noreturn
+}
+
 /// Load-side check of a restored AxSIZE: beat arithmetic shifts by it,
 /// so a snapshot carrying a larger value fails the restore instead.
 template <typename V>
 void check_size(V& v, std::uint8_t size) {
-  if (!v.saving() && size > kMaxSize) {
-    v.fail("AXI size " + std::to_string(size) + " exceeds " +
-           std::to_string(kMaxSize));
-  }
+  if (!v.saving() && size > kMaxSize) [[unlikely]] fail_size(v, size);
 }
 
 /// AXI4 response code (BRESP / RRESP encoding).
@@ -175,15 +183,23 @@ struct AxiRsp {
 /// Number of beats in a burst described by an AXI len field.
 inline unsigned beats(std::uint8_t len) { return unsigned{len} + 1u; }
 
+template <typename V>
+[[noreturn, gnu::cold, gnu::noinline]] void fail_beats_left(
+    V& v, unsigned beats_left, const char* what) {
+  v.fail(std::string(what) + " countdown " + std::to_string(beats_left) +
+         " out of range [1, 256]");
+  std::abort();
+}
+
 /// Loaders: a queued burst countdown (beats still to send, `what`) is
 /// always in [1, 256] while its entry lives — it starts at beats(len)
 /// and the entry retires when it reaches 0. A restored 0 would send a
 /// non-last beat and then wrap to 2^32 - 1 beats.
 template <typename V>
 void check_beats_left(V& v, unsigned beats_left, const char* what) {
-  if (!v.saving() && (beats_left < 1 || beats_left > beats(0xFF))) {
-    v.fail(std::string(what) + " countdown " + std::to_string(beats_left) +
-           " out of range [1, 256]");
+  if (!v.saving() && (beats_left < 1 || beats_left > beats(0xFF)))
+      [[unlikely]] {
+    fail_beats_left(v, beats_left, what);
   }
 }
 

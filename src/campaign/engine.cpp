@@ -201,15 +201,6 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
 }
 
 void aggregate_report(const std::vector<Scenario>& scenarios, Report& rep) {
-  std::vector<TrialSpec> specs;
-  std::vector<std::size_t> scenario_of;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    for (const TrialSpec& t : scenarios[si].trials) {
-      specs.push_back(t);
-      scenario_of.push_back(si);
-    }
-  }
-
   // Serial aggregation in trial-index order: floating-point sums are
   // evaluated in one fixed order regardless of which worker ran what.
   rep.scenarios.assign(scenarios.size(), ScenarioSummary{});
@@ -235,31 +226,36 @@ void aggregate_report(const std::vector<Scenario>& scenarios, Report& rep) {
     rep.scenarios[si].topology_hash =
         mixed || first == nullptr ? 0 : first->hash();
   }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    ScenarioSummary& sc = rep.scenarios[scenario_of[i]];
-    const TrialResult& r = rep.results[i];
-    ++sc.trials;
-    sc.total_cycles += r.cycles_run;
-    sc.total_eval_passes += r.eval_passes;
-    sc.metrics.merge(r.metrics);
-    if (r.failed) {
-      // A captured trial failure contributes nothing but its count: the
-      // default-constructed result must not read as a silent pass.
-      ++sc.failed_trials;
-      continue;
+  // Results are in global trial-index order: scenario by scenario, each
+  // scenario's trials in order.
+  std::size_t i = 0;
+  for (std::size_t si = 0; si < scenarios.size(); ++si) {
+    ScenarioSummary& sc = rep.scenarios[si];
+    for (const TrialSpec& spec : scenarios[si].trials) {
+      const TrialResult& r = rep.results[i++];
+      ++sc.trials;
+      sc.total_cycles += r.cycles_run;
+      sc.total_eval_passes += r.eval_passes;
+      sc.metrics.merge(r.metrics);
+      if (r.failed) {
+        // A captured trial failure contributes nothing but its count: the
+        // default-constructed result must not read as a silent pass.
+        ++sc.failed_trials;
+        continue;
+      }
+      if (r.timed_out) ++sc.timed_out;
+      if (spec.point == fault::FaultPoint::kNone) {
+        if (r.detected) ++sc.false_positives;
+        continue;
+      }
+      if (r.detected) {
+        ++sc.detected;
+        sc.latency.add(static_cast<double>(r.latency));
+        sc.latency_hist.add(r.latency);
+      }
+      if (r.recovered) ++sc.recovered;
+      if (r.traffic_resumed) ++sc.traffic_resumed;
     }
-    if (r.timed_out) ++sc.timed_out;
-    if (specs[i].point == fault::FaultPoint::kNone) {
-      if (r.detected) ++sc.false_positives;
-      continue;
-    }
-    if (r.detected) {
-      ++sc.detected;
-      sc.latency.add(static_cast<double>(r.latency));
-      sc.latency_hist.add(r.latency);
-    }
-    if (r.recovered) ++sc.recovered;
-    if (r.traffic_resumed) ++sc.traffic_resumed;
   }
 
   // Campaign-wide summary: pool the per-scenario shards. merge() is

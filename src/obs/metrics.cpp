@@ -64,11 +64,10 @@ void MetricsRegistry::visit_state(sim::StateVisitor& v) {
              " slots, snapshot has " + std::to_string(n));
     }
     for (auto& [name, slot] : slots) {
-      std::string nm = name;
-      v.str(nm);
-      if (!v.saving() && nm != name) {
+      const std::string_view nm = v.label(name);
+      if (nm != name) {
         v.fail(std::string("metrics registry ") + what + " slot '" + name +
-               "' does not match snapshot slot '" + nm + "'");
+               "' does not match snapshot slot '" + std::string(nm) + "'");
       }
       value_of(slot);
     }

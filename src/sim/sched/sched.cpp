@@ -302,15 +302,14 @@ void EventScheduler::visit_checkpoint(StateVisitor& v) {
 
   // Pending worklist (the active queue region). Empty at a settled
   // capture point under the event-driven policy; under the full sweep
-  // it carries the registration-time wakes the sweep never drains.
-  std::vector<std::uint32_t> pending;
+  // it carries the registration-time wakes the sweep never drains. The
+  // loader reads it straight into the queue, keeping its storage.
   if (v.saving()) {
-    pending.assign(queue_.begin() + static_cast<std::ptrdiff_t>(head_),
-                   queue_.end());
-  }
-  visit(v, pending);
-  if (!v.saving()) {
-    queue_ = std::move(pending);
+    std::vector<std::uint32_t> pending(
+        queue_.begin() + static_cast<std::ptrdiff_t>(head_), queue_.end());
+    visit(v, pending);
+  } else {
+    visit(v, queue_);
     head_ = 0;
     std::fill(dirty_.begin(), dirty_.end(), 0);
     for (const std::uint32_t m : queue_) {

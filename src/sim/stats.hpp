@@ -128,6 +128,39 @@ class Histogram {
     if (count != 0) bins_[value] += count;
   }
 
+  /// Replaces the bins with what add_count() over an empty histogram
+  /// builds from `n` (value, count) pairs, each read by next(value,
+  /// count). Values that arrive in increasing order, as bins() lists
+  /// them, are merged in one walk that keeps the node of every value
+  /// that stays: a snapshot restore into a histogram of the same shape
+  /// allocates nothing.
+  template <typename Next>
+  void assign_bins(std::uint64_t n, Next&& next) {
+    last_bin_ = nullptr;
+    auto it = bins_.begin();  // old bins not yet matched, all past `last`
+    bool any = false;
+    std::uint64_t last = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::uint64_t value = 0;
+      std::uint64_t count = 0;
+      next(value, count);
+      if (count == 0) continue;
+      if (any && value <= last) {  // out of order: add to the new bins
+        bins_[value] += count;
+        continue;
+      }
+      while (it != bins_.end() && it->first < value) it = bins_.erase(it);
+      if (it == bins_.end() || it->first != value) {
+        it = bins_.emplace_hint(it, value, 0);
+      }
+      it->second = count;
+      ++it;
+      any = true;
+      last = value;
+    }
+    bins_.erase(it, bins_.end());
+  }
+
   std::uint64_t count(std::uint64_t value) const {
     auto it = bins_.find(value);
     return it == bins_.end() ? 0 : it->second;

@@ -68,11 +68,11 @@ void Soc::visit_state(sim::StateVisitor& v) {
   // modules' shards included). Name-checked: a payload misalignment
   // fails on the module that drifted, not ten modules later.
   for (sim::Module* m : sim_.modules()) {
-    std::string nm = m->name();
-    v.str(nm);
-    if (!v.saving() && nm != m->name()) {
+    const std::string_view nm = v.label(m->name());
+    if (nm != m->name()) {
       v.fail("soc '" + desc_.name + "': snapshot stream is at module '" +
-             nm + "' but the netlist expects '" + m->name() + "'");
+             std::string(nm) + "' but the netlist expects '" + m->name() +
+             "'");
     }
     m->visit_state(v);
   }

@@ -43,6 +43,8 @@ struct FaultRecord {
   std::uint32_t elapsed = 0;    ///< cycles spent when flagged
   std::uint32_t budget = 0;     ///< allotted cycles
 
+  /// Flat (sim/state.hpp): a log of these loads with one bounds check.
+  static constexpr bool kFlatState = true;
   template <typename V>
   void visit_fields(V& v) {
     visit(v, cycle);

@@ -47,6 +47,8 @@ struct TxnPerfRecord {
   std::array<std::uint32_t, kMaxPhases> phase_cycles{};
   std::uint32_t total_cycles = 0;
 
+  /// Flat (sim/state.hpp): a log of these loads with one bounds check.
+  static constexpr bool kFlatState = true;
   template <typename V>
   void visit_fields(V& v) {
     visit(v, is_write);

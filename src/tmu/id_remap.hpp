@@ -74,8 +74,10 @@ class IdRemapper {
     map_.clear();
   }
 
-  /// State serde: slots only; the ID->tID index is rebuilt on load so
+  /// State serde: slots only; the ID->tID index is derived on load so
   /// the unordered map's iteration order never reaches the byte stream.
+  /// It is rebuilt only where it disagrees with the loaded slots, which
+  /// keeps its nodes when a restore finds it already right.
   template <typename V>
   void visit_fields(V& v) {
     std::uint64_t n = slots_.size();
@@ -89,7 +91,7 @@ class IdRemapper {
       visit(v, s.id);
       visit(v, s.outstanding);
     }
-    if (!v.saving()) {
+    if (!v.saving() && !index_matches()) {
       map_.clear();
       for (std::uint8_t i = 0; i < slots_.size(); ++i) {
         if (slots_[i].outstanding > 0) map_[slots_[i].id] = i;
@@ -102,6 +104,18 @@ class IdRemapper {
     axi::Id id = 0;
     std::uint32_t outstanding = 0;
   };
+
+  /// map_ is exactly what rebuilding it from slots_ would give.
+  bool index_matches() const {
+    std::size_t live = 0;
+    for (std::uint8_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].outstanding == 0) continue;
+      ++live;
+      const auto it = map_.find(slots_[i].id);
+      if (it == map_.end() || it->second != i) return false;
+    }
+    return live == map_.size();
+  }
 
   std::optional<std::uint8_t> free_slot() const {
     for (std::uint8_t i = 0; i < slots_.size(); ++i) {

@@ -186,20 +186,21 @@ class Ott {
   /// valid entries of that tID, every valid entry sits in exactly one
   /// FIFO, and the EI order (the valid entries) and the free list (the
   /// rest) partition the table.
-  const char* link_error() const {
+  const char* link_error() {
     const int n = static_cast<int>(ld_.size());
-    std::vector<char> live(ld_.size(), 0);
+    constexpr std::uint8_t kLive = 1, kListed = 2;  // marks_ bits
+    marks_.assign(ld_.size(), 0);
     for (std::size_t t = 0; t < ht_.size(); ++t) {
       const HtEntry& h = ht_[t];
       int last = -1;
       std::uint32_t len = 0;
       for (int i = h.head; i != -1; i = ld_[i].next) {
         if (i < 0 || i >= n) return "tID FIFO link out of range";
-        if (live[i] != 0) return "tID FIFO revisits an LD entry";
+        if (marks_[i] != 0) return "tID FIFO revisits an LD entry";
         if (!ld_[i].valid || ld_[i].tid != t) {
           return "tID FIFO links an entry of another tID or a free one";
         }
-        live[i] = 1;
+        marks_[i] = kLive;
         last = i;
         ++len;
       }
@@ -208,22 +209,21 @@ class Ott {
       }
     }
     for (int i = 0; i < n; ++i) {
-      if (ld_[i].valid != (live[i] != 0)) {
+      if (ld_[i].valid != (marks_[i] != 0)) {
         return "valid LD entry outside every tID FIFO";
       }
     }
     if (ei_.size() + free_.size() != ld_.size()) {
       return "EI order and free list do not partition the LD table";
     }
-    std::vector<char> listed(ld_.size(), 0);
     for (const std::deque<int>* list : {&ei_, &free_}) {
-      const char want = list == &ei_ ? 1 : 0;
+      const std::uint8_t want = list == &ei_ ? kLive : 0;
       for (const int i : *list) {
         if (i < 0 || i >= n) return "EI or free-list index out of range";
-        if (listed[i] != 0 || live[i] != want) {
+        if (marks_[i] != want) {
           return "EI order and free list do not partition the LD table";
         }
-        listed[i] = 1;
+        marks_[i] |= kListed;
       }
     }
     return nullptr;
@@ -246,6 +246,7 @@ class Ott {
   std::vector<HtEntry> ht_;
   std::deque<int> ei_;
   std::deque<int> free_;
+  std::vector<std::uint8_t> marks_;  ///< link_error() scratch, per LD entry
 };
 
 }  // namespace tmu

@@ -26,6 +26,8 @@ struct LifecycleEvent {
 
   bool operator==(const LifecycleEvent&) const = default;
 
+  /// Flat (sim/state.hpp): a log of these loads with one bounds check.
+  static constexpr bool kFlatState = true;
   template <typename V>
   void visit_fields(V& v) {
     visit(v, cycle);

@@ -83,7 +83,9 @@ struct TraceRecord {
   bool operator==(const TraceRecord&) const = default;
 
   /// State-serde opt-in (sim/state.hpp) so in-flight capture/replay
-  /// buffers travel inside simulation snapshots.
+  /// buffers travel inside simulation snapshots. Flat: a buffer of
+  /// these loads with one bounds check.
+  static constexpr bool kFlatState = true;
   template <typename V>
   void visit_fields(V& v) {
     visit(v, cycle);

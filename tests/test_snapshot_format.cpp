@@ -9,21 +9,26 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axi/crossbar.hpp"
+#include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
 #include "fault/injector.hpp"
 #include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
 #include "sim/state.hpp"
+#include "sim/stats.hpp"
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
 #include "soc/topologies.hpp"
 #include "tmu/tmu.hpp"
+#include "trace/format.hpp"
 
 namespace {
 
@@ -76,14 +81,33 @@ std::vector<unsigned char> read_bytes(const std::string& path) {
   return {bytes.begin(), bytes.end()};
 }
 
+struct SaveBytes final : sim::StateVisitor {
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::logic_error(msg);
+  }
+};
+
+struct LoadBytes final : sim::StateVisitor {
+  explicit LoadBytes(const std::vector<unsigned char>& bytes)
+      : StateVisitor(bytes.data(), bytes.size()) {}
+  explicit LoadBytes(std::vector<unsigned char>&&) = delete;  // reads in place
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::runtime_error(msg);
+  }
+};
+
 // The bytes `m`'s own visit_state() contributes to a capture.
 std::vector<unsigned char> module_bytes(sim::Module& m) {
-  struct SaveBytes final : sim::StateVisitor {
-    [[noreturn]] void fail(const std::string& msg) override {
-      throw std::logic_error(msg);
-    }
-  } save;
+  SaveBytes save;
   m.visit_state(save);
+  return save.take_bytes();
+}
+
+// The bytes a saver writes for `x` alone.
+template <typename T>
+std::vector<unsigned char> saved_bytes(T x) {
+  SaveBytes save;
+  visit(save, x);
   return save.take_bytes();
 }
 
@@ -113,6 +137,24 @@ void patch_u32(Snapshot& snap, sim::Module& m,
   std::vector<unsigned char> value;
   sim::bytes::put_le(value, to);
   std::copy(value.begin(), value.end(), hit + (prefix.size() - 4));
+}
+
+// Inside `m`'s state, the only occurrence of `bytes`.
+std::vector<unsigned char>::iterator find_in_state(
+    Snapshot& snap, sim::Module& m, const std::vector<unsigned char>& bytes) {
+  const auto begin = module_state_in(snap, m);
+  if (begin == snap.payload.end()) return begin;
+  const auto end = begin + static_cast<std::ptrdiff_t>(module_bytes(m).size());
+  const auto hit = std::search(begin, end, bytes.begin(), bytes.end());
+  EXPECT_NE(hit, end) << "bytes not found in " << m.name();
+  EXPECT_EQ(std::search(hit + 1, end, bytes.begin(), bytes.end()), end)
+      << "bytes not unique in " << m.name();
+  return hit == end ? snap.payload.end() : hit;
+}
+
+std::size_t offset_in(const Snapshot& snap,
+                      std::vector<unsigned char>::const_iterator at) {
+  return static_cast<std::size_t>(at - snap.payload.begin());
 }
 
 // A queue entry as the state walk writes it when it is its deque's only
@@ -296,6 +338,30 @@ class CorruptedCapture : public ::testing::Test {
     expect_rejects([&] { snapshot::fork(snap, fixture_desc()); }, needle);
   }
 
+  axi::TrafficGenerator& gen() {
+    return soc_->get<axi::TrafficGenerator>("gen");
+  }
+  tmu::Tmu& tmu() { return soc_->get<tmu::Tmu>("tmu"); }
+
+  // Restores `bad` into a netlist that ran on past `clean`, so the log
+  // that `length` reads is longer there than in the image, and expects
+  // the rejection to name `needle` and to leave that log at its length:
+  // the loader failed before it resized anything.
+  template <typename Length>
+  void expect_rejected_before_resize(const Snapshot& clean,
+                                     const Snapshot& bad,
+                                     const std::string& needle,
+                                     Length length) {
+    const std::unique_ptr<soc::Soc> used =
+        snapshot::fork(clean, fixture_desc());
+    const std::size_t image = length(*used);
+    used->sim().run(300);
+    const std::size_t before = length(*used);
+    ASSERT_GT(before, image);
+    expect_rejects([&] { snapshot::restore(bad, *used); }, needle);
+    EXPECT_EQ(length(*used), before);
+  }
+
   std::unique_ptr<soc::Soc> soc_;
 };
 
@@ -441,6 +507,133 @@ TEST_F(CorruptedCapture, TmuReadAbortCountdownOutOfRange) {
                                       300));
 }
 
+// Flat record logs (sim/state.hpp load_flat()) load with one bounds
+// check per log. The field checks inside a record still run and name the
+// offset of the field, and the count checks fire before the log is
+// resized.
+std::size_t records_of(soc::Soc& s) {
+  return s.get<axi::TrafficGenerator>("gen").records().size();
+}
+std::size_t perf_records_of(soc::Soc& s) {
+  return s.get<tmu::Tmu>("tmu").write_guard().perf_log().size();
+}
+
+TEST_F(CorruptedCapture, AxiSizeAboveSevenInACompletedRecord) {
+  soc_->sim().run(300);  // completed transactions fill the logs
+  ASSERT_FALSE(gen().records().empty());
+  const Snapshot clean = snapshot::capture(*soc_);
+  const axi::TxnRecord& last = gen().records().back();
+  axi::TxnRecord bad = last;
+  bad.desc.size = 8;
+  Snapshot snap = clean;
+  const std::vector<unsigned char> want = saved_bytes(last);
+  const std::vector<unsigned char> patch = saved_bytes(bad);
+  const auto at = find_in_state(snap, gen(), want);
+  ASSERT_NE(at, snap.payload.end());
+  std::copy(patch.begin(), patch.end(), at);
+  // The size byte follows is_write (1), id (4), addr (8) and len (1).
+  const std::size_t field = offset_in(snap, at) + 14;
+  ASSERT_EQ(snap.payload[field], 8);
+  expect_rejected_before_resize(
+      clean, snapshot::decode(snapshot::encode(snap)),
+      "AXI size 8 exceeds 7 (at payload offset " + std::to_string(field + 1) +
+          ")",
+      records_of);
+}
+
+TEST_F(CorruptedCapture, BoolByteTwoInAPerfRecord) {
+  soc_->sim().run(300);  // completed transactions fill the logs
+  const auto& log = tmu().write_guard().perf_log();
+  ASSERT_FALSE(log.empty());
+  const Snapshot clean = snapshot::capture(*soc_);
+  Snapshot snap = clean;
+  const auto at = find_in_state(snap, tmu(), saved_bytes(log.back()));
+  ASSERT_NE(at, snap.payload.end());
+  ASSERT_EQ(*at, 1);  // is_write leads the record
+  *at = 2;
+  expect_rejected_before_resize(
+      clean, snapshot::decode(snapshot::encode(snap)),
+      "bool byte is not 0 or 1 (at payload offset " +
+          std::to_string(offset_in(snap, at) + 1) + ")",
+      perf_records_of);
+}
+
+// The records_ log as the walk writes it: its count, then its records.
+std::vector<unsigned char> log_head(const std::vector<axi::TxnRecord>& log) {
+  std::vector<unsigned char> head;
+  sim::bytes::put_le<std::uint64_t>(head, log.size());
+  const std::vector<unsigned char> first = saved_bytes(log.front());
+  head.insert(head.end(), first.begin(), first.end());
+  return head;
+}
+
+TEST_F(CorruptedCapture, RecordLogCountBeyondThePayload) {
+  soc_->sim().run(300);  // completed transactions fill the logs
+  ASSERT_FALSE(gen().records().empty());
+  const Snapshot clean = snapshot::capture(*soc_);
+  Snapshot probe = clean;
+  const auto at = find_in_state(probe, gen(), log_head(gen().records()));
+  ASSERT_NE(at, probe.payload.end());
+  const std::size_t count_at = offset_in(probe, at);
+  const std::uint64_t left = clean.payload.size() - count_at - 8;
+  // A count one above the bytes left, and the smallest count whose
+  // product with the record width wraps 64 bits to less than what is
+  // left: a check that multiplied would let it through.
+  const std::uint64_t w = sim::flat::width<axi::TxnRecord>();
+  const std::uint64_t wraps = ~std::uint64_t{0} / w + 1;
+  ASSERT_LT(wraps * w, left);
+  for (const std::uint64_t count : {left + 1, wraps}) {
+    Snapshot snap = clean;
+    sim::bytes::store_le(snap.payload.data() + count_at, count);
+    expect_rejected_before_resize(
+        clean, snapshot::decode(snapshot::encode(snap)),
+        "container count " + std::to_string(count) +
+            " exceeds the remaining payload (" + std::to_string(left) +
+            " bytes)",
+        records_of);
+  }
+}
+
+TEST_F(CorruptedCapture, RecordLogCountThePayloadCannotBack) {
+  // A payload that ends inside records_: the count is within the bytes
+  // left, but not at 47 bytes a record. The loader decodes record by
+  // record into a scratch record and fails where a per-primitive walk
+  // fails, at the first field past the end.
+  soc_->sim().run(300);
+  const std::size_t n = gen().records().size();
+  ASSERT_GE(n, 4u);
+  Snapshot snap = snapshot::capture(*soc_);
+  const auto at = find_in_state(snap, gen(), log_head(gen().records()));
+  ASSERT_NE(at, snap.payload.end());
+  const std::size_t w = sim::flat::width<axi::TxnRecord>();
+  const std::size_t end = offset_in(snap, at) + 8 + (n / 2) * w;
+  snap.payload.resize(end);
+  expect_rejected_before_resize(
+      snapshot::capture(*soc_), snapshot::decode(snapshot::encode(snap)),
+      "payload underrun: need 1 bytes, 0 left (at payload offset " +
+          std::to_string(end) + ")",
+      records_of);
+}
+
+TEST_F(CorruptedCapture, RepeatedMemoryPageNumber) {
+  // Capture writes the pages in increasing page order; a repeated page
+  // would overwrite the first copy and drop a page from the next capture.
+  auto& mem = soc_->get<axi::MemorySubordinate>("mem");
+  mem.poke(0x0000, 1);
+  mem.poke(0x1000, 2);
+  Snapshot snap = snapshot::capture(*soc_);
+  const auto at = module_state_in(snap, mem);
+  ASSERT_NE(at, snap.payload.end());
+  // The page count, then (page number, 4 KiB) pairs: pages 0 and 1 first.
+  const auto second = at + 16 + 4096;
+  ASSERT_EQ(sim::bytes::load_le<std::uint64_t>(&at[8]), 0u);
+  ASSERT_EQ(sim::bytes::load_le<std::uint64_t>(&*second), 1u);
+  std::copy(at + 8, at + 16, second);
+  const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
+  expect_rejects([&] { snapshot::fork(crafted, fixture_desc()); },
+                 "memory page numbers must increase: page 0 follows page 0");
+}
+
 // Every single-byte flip of the committed fixture's payload either fails
 // the restore with a named SnapshotError or restores a netlist that
 // simulates (the ASan job runs this through the snapshot label, where a
@@ -502,6 +695,118 @@ TEST(SnapshotFixture, FixtureForksAndContinuesLikeColdRun) {
   EXPECT_EQ(forked->sim().module_evals(), cold->sim().module_evals());
   EXPECT_EQ(forked->metrics().snapshot().to_json(),
             cold->metrics().snapshot().to_json());
+}
+
+// ---------------------------------------------------------------------
+// Loader containers: flat record logs, and the maps and histograms whose
+// nodes a restore keeps.
+// ---------------------------------------------------------------------
+
+template <typename T>
+void expect_flat_width(const char* name) {
+  EXPECT_EQ(sim::flat::width<T>(), saved_bytes(T{}).size()) << name;
+}
+
+TEST(SnapshotFlatLogs, WidthIsWhatASaverWritesForOneRecord) {
+  expect_flat_width<axi::TxnRecord>("TxnRecord");
+  expect_flat_width<tmu::TxnPerfRecord>("TxnPerfRecord");
+  expect_flat_width<tmu::FaultRecord>("FaultRecord");
+  expect_flat_width<tmu::LifecycleEvent>("LifecycleEvent");
+  expect_flat_width<trace::TraceRecord>("TraceRecord");
+  expect_flat_width<std::uint8_t>("uint8_t");
+  expect_flat_width<std::uint16_t>("uint16_t");
+  expect_flat_width<std::uint32_t>("uint32_t");
+  expect_flat_width<std::uint64_t>("uint64_t");
+}
+
+TEST(SnapshotFlatLogs, LoadOverwritesShorterAndLongerLogs) {
+  std::vector<tmu::FaultRecord> image(3);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i].cycle = 100 + i;
+    image[i].is_write = i % 2 == 0;
+    image[i].kind = tmu::FaultKind::kIdMismatch;
+    image[i].phase_valid = true;
+    image[i].phase = static_cast<std::uint8_t>(i);
+    image[i].id = static_cast<axi::Id>(7 * i);
+    image[i].addr = 0x1000 * i;
+    image[i].elapsed = static_cast<std::uint32_t>(i);
+    image[i].budget = 64;
+  }
+  const std::vector<unsigned char> bytes = saved_bytes(image);
+  for (const std::size_t held : {0, 2, 3, 5}) {
+    std::vector<tmu::FaultRecord> log(held);
+    for (tmu::FaultRecord& r : log) r.elapsed = 99;
+    LoadBytes in(bytes);
+    visit(in, log);
+    EXPECT_EQ(in.consumed(), bytes.size()) << held;
+    EXPECT_EQ(saved_bytes(log), bytes) << held;
+  }
+}
+
+using U32Map = std::map<std::uint32_t, std::uint64_t>;
+
+std::vector<unsigned char> map_bytes(
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
+  std::vector<unsigned char> bytes;
+  sim::bytes::put_le<std::uint64_t>(bytes, entries.size());
+  for (const auto& [k, val] : entries) {
+    sim::bytes::put_le(bytes, k);
+    sim::bytes::put_le(bytes, val);
+  }
+  return bytes;
+}
+
+TEST(SnapshotLoadContainers, MapKeepsTheNodesOfKeysThatStay) {
+  const U32Map image{{2, 20}, {3, 30}, {9, 90}};
+  U32Map m{{1, 1}, {2, 2}, {5, 5}, {9, 9}, {12, 12}};
+  const std::uint64_t* two = &m.at(2);
+  const std::uint64_t* nine = &m.at(9);
+  const std::vector<unsigned char> bytes = saved_bytes(image);
+  LoadBytes in(bytes);
+  visit(in, m);
+  EXPECT_EQ(m, image);
+  EXPECT_EQ(&m.at(2), two);
+  EXPECT_EQ(&m.at(9), nine);
+}
+
+TEST(SnapshotLoadContainers, MapOfUnorderedKeysKeepsTheFirstValue) {
+  // No saver writes this: keys out of order and one repeated. The first
+  // value read for a key wins, as when the loader rebuilt the map.
+  U32Map m{{2, 1}, {6, 6}};
+  const std::vector<unsigned char> bytes =
+      map_bytes({{5, 50}, {2, 20}, {5, 55}, {7, 70}});
+  LoadBytes in(bytes);
+  visit(in, m);
+  EXPECT_EQ(m, (U32Map{{2, 20}, {5, 50}, {7, 70}}));
+}
+
+TEST(SnapshotLoadContainers, HistogramLoadIsAddCountOverAnEmptyHistogram) {
+  // A saver's bins, then bins out of order with a repeat and a zero count.
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> cases[] = {
+      {{1, 4}, {3, 1}, {8, 2}},
+      {{8, 2}, {3, 1}, {8, 5}, {5, 0}, {1, 4}},
+  };
+  for (const auto& bins : cases) {
+    sim::Histogram want;
+    std::vector<unsigned char> bytes;
+    sim::bytes::put_le<std::uint64_t>(bytes, bins.size());
+    for (const auto& [value, cnt] : bins) {
+      want.add_count(value, cnt);
+      sim::bytes::put_le<std::uint64_t>(bytes, value);
+      sim::bytes::put_le<std::uint64_t>(bytes, cnt);
+    }
+    sim::Histogram h;
+    for (const std::uint64_t x : {3, 4, 9}) h.add(x);  // caches bin 9
+    const std::uint64_t* three = &h.bins().at(3);
+    LoadBytes in(bytes);
+    visit(in, h);
+    EXPECT_EQ(h.bins(), want.bins());
+    if (&bins == &cases[0]) {
+      EXPECT_EQ(&h.bins().at(3), three);
+    }
+    h.add(9);  // the erased bin 9 must not be the cached one
+    EXPECT_EQ(h.count(9), 1u);
+  }
 }
 
 }  // namespace
