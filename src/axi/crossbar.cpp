@@ -534,8 +534,14 @@ void Crossbar::reset() {
   tick_evt_ = true;
   for (Link* s : subs_) s->req.force(AxiReq{});
   for (Link* m : mgrs_) m->rsp.force(AxiRsp{});
-  for (auto& w : xreq_) w.force(AxiReq{});
-  for (auto& w : xrsp_) w.force(AxiRsp{});
+  // A clear occupancy bit already means a default internal wire, so
+  // only the occupied ones are forced back: O(occupied), not n_m x n_s.
+  for (std::size_t s = 0; s < subs_.size(); ++s) {
+    xreq_occ_.for_each(s, [&](std::size_t m) { xreq(m, s).force(AxiReq{}); });
+  }
+  for (std::size_t m = 0; m < mgrs_.size(); ++m) {
+    xrsp_occ_.for_each(m, [&](std::size_t s) { xrsp(m, s).force(AxiRsp{}); });
+  }
   reset_masks();
 }
 

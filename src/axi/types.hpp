@@ -1,9 +1,10 @@
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <type_traits>
 
 namespace axi {
 
@@ -67,16 +68,41 @@ inline const char* to_string(Burst b) {
   return "?";
 }
 
+// Layout contract: every flit and bundle below has no implicit padding
+// (the static_asserts after each pin its size and
+// std::has_unique_object_representations_v), and the spare bytes are
+// explicit pad members that stay zero. Two equal values are therefore
+// equal byte for byte, so operator== is one memcmp over the object,
+// which GCC inlines: that is the check every sim::Wire::write() makes.
+// Members are laid out widest first; the serialized order is
+// visit_fields()'s, which lists the fields in their AXI order and never
+// the pads.
+
+/// Byte-wise equality of two padding-free objects.
+template <typename T>
+bool same_bytes(const T& a, const T& b) {
+  static_assert(std::has_unique_object_representations_v<T>);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
 /// Address channel payload. AXI4's write (AW) and read (AR) address
 /// channels carry the same fields, so one struct serves both; `AwFlit`
 /// and `ArFlit` name it per channel.
 struct AxFlit {
-  Id id = 0;
   Addr addr = 0;
+  Id id = 0;
   std::uint8_t len = 0;   ///< beats - 1, as in AxLEN
   std::uint8_t size = 3;  ///< log2(bytes per beat), as in AxSIZE
   Burst burst = Burst::kIncr;
-  bool operator==(const AxFlit&) const = default;
+  std::uint8_t pad = 0;
+
+  constexpr AxFlit() = default;
+  /// The AXI field order: {id, addr, len, size, burst}.
+  constexpr AxFlit(Id id, Addr addr, std::uint8_t len = 0,
+                   std::uint8_t size = 3, Burst burst = Burst::kIncr)
+      : addr(addr), id(id), len(len), size(size), burst(burst) {}
+
+  bool operator==(const AxFlit& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, id);
@@ -87,6 +113,8 @@ struct AxFlit {
     visit(v, burst);
   }
 };
+static_assert(sizeof(AxFlit) == 16);
+static_assert(std::has_unique_object_representations_v<AxFlit>);
 using AwFlit = AxFlit;  ///< AW channel payload (write address)
 using ArFlit = AxFlit;  ///< AR channel payload (read address)
 
@@ -95,7 +123,8 @@ struct WFlit {
   Data data = 0;
   std::uint8_t strb = 0xFF;
   bool last = false;
-  bool operator==(const WFlit&) const = default;
+  std::uint8_t pad[6] = {};
+  bool operator==(const WFlit& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, data);
@@ -103,26 +132,39 @@ struct WFlit {
     visit(v, last);
   }
 };
+static_assert(sizeof(WFlit) == 16);
+static_assert(std::has_unique_object_representations_v<WFlit>);
 
 /// B channel payload (write response).
 struct BFlit {
   Id id = 0;
   Resp resp = Resp::kOkay;
-  bool operator==(const BFlit&) const = default;
+  std::uint8_t pad[3] = {};
+  bool operator==(const BFlit& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, id);
     visit(v, resp);
   }
 };
+static_assert(sizeof(BFlit) == 8);
+static_assert(std::has_unique_object_representations_v<BFlit>);
 
 /// R channel payload (read data).
 struct RFlit {
-  Id id = 0;
   Data data = 0;
+  Id id = 0;
   Resp resp = Resp::kOkay;
   bool last = false;
-  bool operator==(const RFlit&) const = default;
+  std::uint8_t pad[2] = {};
+
+  constexpr RFlit() = default;
+  /// The AXI field order: {id, data, resp, last}.
+  constexpr RFlit(Id id, Data data, Resp resp = Resp::kOkay,
+                  bool last = false)
+      : data(data), id(id), resp(resp), last(last) {}
+
+  bool operator==(const RFlit& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, id);
@@ -131,19 +173,22 @@ struct RFlit {
     visit(v, last);
   }
 };
+static_assert(sizeof(RFlit) == 16);
+static_assert(std::has_unique_object_representations_v<RFlit>);
 
 /// Manager -> subordinate signal bundle (requests + response readies),
 /// mirroring the pulp-platform axi_req_t convention.
 struct AxiReq {
   AwFlit aw{};
-  bool aw_valid = false;
   WFlit w{};
+  ArFlit ar{};
+  bool aw_valid = false;
   bool w_valid = false;
   bool b_ready = false;
-  ArFlit ar{};
   bool ar_valid = false;
   bool r_ready = false;
-  bool operator==(const AxiReq&) const = default;
+  std::uint8_t pad[3] = {};
+  bool operator==(const AxiReq& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, aw);
@@ -156,18 +201,21 @@ struct AxiReq {
     visit(v, r_ready);
   }
 };
+static_assert(sizeof(AxiReq) == 56);
+static_assert(std::has_unique_object_representations_v<AxiReq>);
 
 /// Subordinate -> manager signal bundle (readies + responses),
 /// mirroring the pulp-platform axi_rsp_t convention.
 struct AxiRsp {
+  RFlit r{};
+  BFlit b{};
   bool aw_ready = false;
   bool w_ready = false;
-  BFlit b{};
   bool b_valid = false;
   bool ar_ready = false;
-  RFlit r{};
   bool r_valid = false;
-  bool operator==(const AxiRsp&) const = default;
+  std::uint8_t pad[3] = {};
+  bool operator==(const AxiRsp& o) const { return same_bytes(*this, o); }
   template <typename V>
   void visit_fields(V& v) {
     visit(v, aw_ready);
@@ -179,6 +227,8 @@ struct AxiRsp {
     visit(v, r_valid);
   }
 };
+static_assert(sizeof(AxiRsp) == 32);
+static_assert(std::has_unique_object_representations_v<AxiRsp>);
 
 /// Number of beats in a burst described by an AXI len field.
 inline unsigned beats(std::uint8_t len) { return unsigned{len} + 1u; }

@@ -158,12 +158,18 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
   // group. The fork cache lives in this TrialFn, so it is scoped to this
   // run() call.
   const TrialFn body = fn ? fn : make_forking_trial_fn();
-  const std::vector<TrialSpec> specs =
-      flatten_trials(scenarios, opts_.base_seed);
+  // Global trial i is trials[i - first[si]] of the scenario si with
+  // first[si] <= i < first[si + 1]: the order flatten_trials() gives,
+  // without copying the campaign up front.
+  std::vector<std::size_t> first(scenarios.size() + 1, 0);
+  for (std::size_t si = 0; si < scenarios.size(); ++si) {
+    first[si + 1] = first[si] + scenarios[si].trials.size();
+  }
+  const std::size_t total = first.back();
 
   Report rep;
   rep.base_seed = opts_.base_seed;
-  rep.results.resize(specs.size());
+  rep.results.resize(total);
   rep.threads_used = threads_;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -173,13 +179,26 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
   // touch the same data and the outcome is schedule-independent.
   std::atomic<std::size_t> cursor{0};
   auto worker = [&] {
+    // A worker's indices only grow, so its scenario cursor only
+    // advances. A trial is copied (into storage the worker reuses) only
+    // when its seed must be derived.
+    std::size_t si = 0;
+    TrialSpec seeded;
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= specs.size()) return;
+      if (i >= total) return;
+      while (first[si + 1] <= i) ++si;
+      const TrialSpec& spec = scenarios[si].trials[i - first[si]];
+      const TrialSpec* trial = &spec;
+      if (spec.seed == 0) {
+        seeded = spec;
+        seeded.seed = derive_trial_seed(opts_.base_seed, i);
+        trial = &seeded;
+      }
       // A failure lands in the trial's own result slot (deterministic at
       // any thread count) and the remaining trials keep running. The
       // scenario summary surfaces it as failed_trials.
-      rep.results[i] = run_trial_captured(body, specs[i]);
+      rep.results[i] = run_trial_captured(body, *trial);
     }
   };
 

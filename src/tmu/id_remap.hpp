@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "axi/types.hpp"
@@ -16,14 +17,25 @@ namespace tmu {
 /// (the TMU gates the AW/AR ready path).
 class IdRemapper {
  public:
-  explicit IdRemapper(std::uint32_t max_uniq_ids)
-      : slots_(max_uniq_ids) {}
+  /// Throws std::invalid_argument above 256 slots: tIDs are 8 bits.
+  explicit IdRemapper(std::uint32_t max_uniq_ids) {
+    if (max_uniq_ids > 256) {
+      throw std::invalid_argument("TMU max_uniq_ids " +
+                                  std::to_string(max_uniq_ids) +
+                                  " exceeds 256 (tIDs are 8 bits)");
+    }
+    slots_.resize(max_uniq_ids);
+  }
 
-  /// tID for an already-mapped ID, if any.
+  /// tID for an already-mapped ID, if any. A scan over the slots (at
+  /// most max_uniq_ids, 4 by default): a busy slot's ID is unique.
   std::optional<std::uint8_t> lookup(axi::Id id) const {
-    auto it = map_.find(id);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].outstanding > 0 && slots_[i].id == id) {
+        return static_cast<std::uint8_t>(i);
+      }
+    }
+    return std::nullopt;
   }
 
   /// True if a transaction with this ID could be admitted now
@@ -42,7 +54,6 @@ class IdRemapper {
     if (auto f = free_slot()) {
       slots_[*f].id = id;
       slots_[*f].outstanding = 1;
-      map_[id] = *f;
       return f;
     }
     return std::nullopt;
@@ -51,16 +62,16 @@ class IdRemapper {
   /// Releases one transaction of tID; frees the slot at zero.
   void release(std::uint8_t tid) {
     Slot& s = slots_[tid];
-    if (s.outstanding > 0 && --s.outstanding == 0) {
-      map_.erase(s.id);
-    }
+    if (s.outstanding > 0) --s.outstanding;
   }
 
   /// The original AXI ID currently mapped to tid (valid while busy).
   axi::Id original_id(std::uint8_t tid) const { return slots_[tid].id; }
 
   std::uint32_t active_ids() const {
-    return static_cast<std::uint32_t>(map_.size());
+    std::uint32_t n = 0;
+    for (const Slot& s : slots_) n += s.outstanding > 0 ? 1 : 0;
+    return n;
   }
   std::uint32_t outstanding(std::uint8_t tid) const {
     return slots_[tid].outstanding;
@@ -71,13 +82,10 @@ class IdRemapper {
 
   void clear() {
     for (Slot& s : slots_) s = {};
-    map_.clear();
   }
 
-  /// State serde: slots only; the ID->tID index is derived on load so
-  /// the unordered map's iteration order never reaches the byte stream.
-  /// It is rebuilt only where it disagrees with the loaded slots, which
-  /// keeps its nodes when a restore finds it already right.
+  /// State serde: the slots. A load rejects two busy slots holding one
+  /// ID, which lookup() could never tell apart.
   template <typename V>
   void visit_fields(V& v) {
     std::uint64_t n = slots_.size();
@@ -91,10 +99,15 @@ class IdRemapper {
       visit(v, s.id);
       visit(v, s.outstanding);
     }
-    if (!v.saving() && !index_matches()) {
-      map_.clear();
-      for (std::uint8_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].outstanding > 0) map_[slots_[i].id] = i;
+    if (v.saving()) return;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].outstanding == 0) continue;
+      for (std::size_t j = i + 1; j < slots_.size(); ++j) {
+        if (slots_[j].outstanding > 0 && slots_[j].id == slots_[i].id) {
+          v.fail("ID remapper slots " + std::to_string(i) + " and " +
+                 std::to_string(j) + " both map busy ID " +
+                 std::to_string(slots_[i].id));
+        }
       }
     }
   }
@@ -105,27 +118,14 @@ class IdRemapper {
     std::uint32_t outstanding = 0;
   };
 
-  /// map_ is exactly what rebuilding it from slots_ would give.
-  bool index_matches() const {
-    std::size_t live = 0;
-    for (std::uint8_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].outstanding == 0) continue;
-      ++live;
-      const auto it = map_.find(slots_[i].id);
-      if (it == map_.end() || it->second != i) return false;
-    }
-    return live == map_.size();
-  }
-
   std::optional<std::uint8_t> free_slot() const {
-    for (std::uint8_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].outstanding == 0) return i;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].outstanding == 0) return static_cast<std::uint8_t>(i);
     }
     return std::nullopt;
   }
 
   std::vector<Slot> slots_;
-  std::unordered_map<axi::Id, std::uint8_t> map_;
 };
 
 }  // namespace tmu

@@ -168,6 +168,39 @@ TEST_F(CampaignEngine, CustomTrialFnAndJsonShape) {
   EXPECT_NE(json.find(hash_field), std::string::npos);
 }
 
+TEST_F(CampaignEngine, RunsExactlyTheFlattenedTrials) {
+  // Global trial i is flatten_trials()[i], seed included, at any thread
+  // count: across empty scenarios, and with explicit seeds kept.
+  std::vector<campaign::Scenario> sc(5);
+  std::uint64_t tag = 0;
+  for (const std::size_t si : {0, 2, 3}) {
+    for (int k = 0; k < 3; ++k) {
+      campaign::TrialSpec t;
+      t.inject_delay_max = ++tag;
+      t.seed = si == 2 && k != 1 ? 1000 + tag : 0;
+      sc[si].trials.push_back(t);
+    }
+  }
+  const std::vector<campaign::TrialSpec> flat =
+      campaign::flatten_trials(sc, 7ull);
+  ASSERT_EQ(flat.size(), 9u);
+  for (const unsigned threads : {1u, 3u}) {
+    campaign::Engine eng({threads, 7ull});
+    const campaign::Report rep =
+        eng.run(sc, [](const campaign::TrialSpec& s) {
+          campaign::TrialResult r;
+          r.cycles_run = s.seed;
+          r.latency = s.inject_delay_max;
+          return r;
+        });
+    ASSERT_EQ(rep.results.size(), flat.size());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      EXPECT_EQ(rep.results[i].cycles_run, flat[i].seed) << i;
+      EXPECT_EQ(rep.results[i].latency, flat[i].inject_delay_max) << i;
+    }
+  }
+}
+
 TEST_F(CampaignEngine, MixedTopologiesAreReportedAsMixed) {
   campaign::TrialSpec a;  // default ip_testbench
   campaign::TrialSpec b;

@@ -1,7 +1,7 @@
 // Pooled restores allocate nothing: snapshot::restore into a netlist
 // whose containers already have the image's shape reuses their storage
-// (flat record logs, queues, maps, memory pages, histograms, the ID
-// remapper's index, the OTT link check's scratch, the name checks).
+// (flat record logs, queues, maps, memory pages, histograms, the OTT
+// link check's scratch, the name checks).
 //
 // Heap allocations are counted through replaced global operator new and
 // delete. Every form is replaced, over malloc/aligned_alloc and free, so
@@ -153,6 +153,18 @@ TEST(SnapshotAlloc, SecondRestoreIntoTheSameNetlistAllocatesNothing) {
   const Count second = allocations_of([&] { snapshot::restore(snap, *soc); });
   EXPECT_EQ(second.allocations, 0u) << second.bytes << " bytes";
   // The netlist still holds the image.
+  EXPECT_EQ(snapshot::capture(*soc), snap);
+}
+
+TEST(SnapshotAlloc, RestoreAfterARunAllocatesNothing) {
+  // A pooled trial netlist: restored once, then run on, so its logs are
+  // longer and other IDs are outstanding than in the image.
+  const snapshot::Snapshot snap = fixture();
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(fixture_desc());
+  snapshot::restore(snap, *soc);
+  soc->sim().run(500);
+  const Count again = allocations_of([&] { snapshot::restore(snap, *soc); });
+  EXPECT_EQ(again.allocations, 0u) << again.bytes << " bytes";
   EXPECT_EQ(snapshot::capture(*soc), snap);
 }
 

@@ -634,6 +634,34 @@ TEST_F(CorruptedCapture, RepeatedMemoryPageNumber) {
                  "memory page numbers must increase: page 0 follows page 0");
 }
 
+TEST(SnapshotRestore, RejectsRemapperSlotsSharingABusyId) {
+  // lookup() scans the slots for the first busy one holding an ID, so
+  // two busy slots of one ID would hide the second; the load refuses.
+  const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(fixture_desc());
+  tmu::IdRemapper& remap = soc->get<tmu::Tmu>("tmu").write_guard().remapper();
+  ASSERT_EQ(remap.admit(0xBEEF), 0);
+  ASSERT_EQ(remap.admit(0xBEE0), 1);
+  const Snapshot clean = snapshot::capture(*soc);
+  // Slot 1 as the walk writes it: its ID, then its outstanding count.
+  std::vector<unsigned char> slot;
+  sim::bytes::put_le(slot, std::uint32_t{0xBEE0});
+  sim::bytes::put_le(slot, std::uint32_t{1});
+  Snapshot snap = clean;
+  const auto at = find_in_state(snap, soc->get<tmu::Tmu>("tmu"), slot);
+  ASSERT_NE(at, snap.payload.end());
+  sim::bytes::store_le(&*at, std::uint32_t{0xBEEF});
+  const Snapshot crafted = snapshot::decode(snapshot::encode(snap));
+  expect_rejects([&] { snapshot::fork(crafted, fixture_desc()); },
+                 "ID remapper slots 0 and 1 both map busy ID 48879");
+  // The unpatched image restores both mappings.
+  const std::unique_ptr<soc::Soc> forked =
+      snapshot::fork(clean, fixture_desc());
+  const tmu::IdRemapper& got =
+      forked->get<tmu::Tmu>("tmu").write_guard().remapper();
+  EXPECT_EQ(got.lookup(0xBEEF), 0);
+  EXPECT_EQ(got.lookup(0xBEE0), 1);
+}
+
 // Every single-byte flip of the committed fixture's payload either fails
 // the restore with a named SnapshotError or restores a netlist that
 // simulates (the ASan job runs this through the snapshot label, where a

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "tmu/id_remap.hpp"
 
 namespace {
@@ -81,6 +83,11 @@ TEST(IdRemap, ClearResetsEverything) {
   EXPECT_TRUE(r.can_admit(3));
 }
 
+TEST(IdRemap, RejectsMoreSlotsThanEightBitTids) {
+  EXPECT_NO_THROW(IdRemapper(256));
+  EXPECT_THROW(IdRemapper(257), std::invalid_argument);
+}
+
 // Property: wide sparse ID space maps into [0, capacity).
 class RemapSweep : public ::testing::TestWithParam<int> {};
 
@@ -96,6 +103,9 @@ TEST_P(RemapSweep, SparseIdsCompacted) {
   EXPECT_FALSE(r.can_admit(0xFFFF));
 }
 
-INSTANTIATE_TEST_SUITE_P(Caps, RemapSweep, ::testing::Values(1, 2, 4, 8, 16));
+// 256 slots: every tID fits in 8 bits, and the slot scans must still
+// end when no slot matches.
+INSTANTIATE_TEST_SUITE_P(Caps, RemapSweep,
+                         ::testing::Values(1, 2, 4, 8, 16, 256));
 
 }  // namespace

@@ -469,6 +469,13 @@ TEST(XbarShardEquiv, ResetMidTrafficMatchesGoldens) {
     net.s.step();
   }
   net.s.reset();
+  // The crossbar's state, internal wires included, is a power-on
+  // crossbar's: reset forces back every occupied internal wire.
+  XbarNet fresh(5, 4, 31);
+  SaveBytes after_reset, power_on;
+  net.xbar->visit_state(after_reset);
+  fresh.xbar->visit_state(power_on);
+  EXPECT_TRUE(after_reset.take_bytes() == power_on.take_bytes());
   for (int c = 0; c < 500; ++c) net.s.step();
   EXPECT_GT(net.completed(), 0u);
   check_goldens("reset_5x4_s31", net);
