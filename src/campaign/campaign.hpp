@@ -223,9 +223,30 @@ struct Report {
 /// makes any shard split reproduce the same trials.
 std::uint64_t derive_trial_seed(std::uint64_t base_seed, std::uint64_t index);
 
-/// Flattens scenarios into the global trial list (the determinism key:
-/// seed derivation, result slots, and aggregation order all depend only
-/// on the global index) and fills in derived seeds where spec.seed == 0.
+/// The global trial list, read in place (the determinism key: seed
+/// derivation, result slots, and aggregation order all depend only on
+/// the global index). Trial i is trials[i - first] of the scenario whose
+/// trials start at global index `first`, scenarios in order, and a spec
+/// whose seed is 0 gets derive_trial_seed(base_seed, i). Engine::run,
+/// remote::run_range and flatten_trials() read trials only through it.
+/// Holds a reference to `scenarios`, which must outlive it.
+class TrialList {
+ public:
+  TrialList(const std::vector<Scenario>& scenarios, std::uint64_t base_seed);
+
+  std::size_t size() const { return first_.back(); }
+  /// Assigns global trial `i` (< size()), seed derived, to `out`.
+  void get(std::size_t i, TrialSpec& out) const;
+
+ private:
+  const std::vector<Scenario>& scenarios_;
+  std::uint64_t base_seed_;
+  /// first_[s]: global index of scenario s's first trial; one more
+  /// entry than scenarios, the last being the trial count.
+  std::vector<std::size_t> first_;
+};
+
+/// The whole TrialList as one vector of specs, derived seeds filled in.
 std::vector<TrialSpec> flatten_trials(const std::vector<Scenario>& scenarios,
                                       std::uint64_t base_seed);
 

@@ -1,5 +1,6 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -31,17 +32,30 @@ std::uint64_t derive_trial_seed(std::uint64_t base_seed, std::uint64_t index) {
   return mix64(base_seed ^ mix64(index));
 }
 
+TrialList::TrialList(const std::vector<Scenario>& scenarios,
+                     std::uint64_t base_seed)
+    : scenarios_(scenarios), base_seed_(base_seed) {
+  first_.reserve(scenarios.size() + 1);
+  first_.push_back(0);
+  for (const Scenario& sc : scenarios) {
+    first_.push_back(first_.back() + sc.trials.size());
+  }
+}
+
+void TrialList::get(std::size_t i, TrialSpec& out) const {
+  // The last scenario starting at or before i; empty scenarios share
+  // their start with the next one, so upper_bound skips them.
+  const std::size_t s = static_cast<std::size_t>(
+      std::upper_bound(first_.begin(), first_.end(), i) - first_.begin() - 1);
+  out = scenarios_[s].trials[i - first_[s]];
+  if (out.seed == 0) out.seed = derive_trial_seed(base_seed_, i);
+}
+
 std::vector<TrialSpec> flatten_trials(const std::vector<Scenario>& scenarios,
                                       std::uint64_t base_seed) {
-  std::vector<TrialSpec> specs;
-  for (const Scenario& sc : scenarios) {
-    specs.insert(specs.end(), sc.trials.begin(), sc.trials.end());
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].seed == 0) {
-      specs[i].seed = derive_trial_seed(base_seed, i);
-    }
-  }
+  const TrialList list(scenarios, base_seed);
+  std::vector<TrialSpec> specs(list.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) list.get(i, specs[i]);
   return specs;
 }
 
@@ -158,18 +172,11 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
   // group. The fork cache lives in this TrialFn, so it is scoped to this
   // run() call.
   const TrialFn body = fn ? fn : make_forking_trial_fn();
-  // Global trial i is trials[i - first[si]] of the scenario si with
-  // first[si] <= i < first[si + 1]: the order flatten_trials() gives,
-  // without copying the campaign up front.
-  std::vector<std::size_t> first(scenarios.size() + 1, 0);
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    first[si + 1] = first[si] + scenarios[si].trials.size();
-  }
-  const std::size_t total = first.back();
+  const TrialList trials(scenarios, opts_.base_seed);
 
   Report rep;
   rep.base_seed = opts_.base_seed;
-  rep.results.resize(total);
+  rep.results.resize(trials.size());
   rep.threads_used = threads_;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -179,26 +186,15 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
   // touch the same data and the outcome is schedule-independent.
   std::atomic<std::size_t> cursor{0};
   auto worker = [&] {
-    // A worker's indices only grow, so its scenario cursor only
-    // advances. A trial is copied (into storage the worker reuses) only
-    // when its seed must be derived.
-    std::size_t si = 0;
-    TrialSpec seeded;
+    TrialSpec spec;  // reused: each trial is copied in as it is taken
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
-      while (first[si + 1] <= i) ++si;
-      const TrialSpec& spec = scenarios[si].trials[i - first[si]];
-      const TrialSpec* trial = &spec;
-      if (spec.seed == 0) {
-        seeded = spec;
-        seeded.seed = derive_trial_seed(opts_.base_seed, i);
-        trial = &seeded;
-      }
+      if (i >= trials.size()) return;
+      trials.get(i, spec);
       // A failure lands in the trial's own result slot (deterministic at
       // any thread count) and the remaining trials keep running. The
       // scenario summary surfaces it as failed_trials.
-      rep.results[i] = run_trial_captured(body, *trial);
+      rep.results[i] = run_trial_captured(body, spec);
     }
   };
 

@@ -424,13 +424,12 @@ ReportSlice ReportSlice::from_json(const std::string& json) {
 ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
                       std::uint64_t end, const ProgressFn& progress,
                       const TrialFn& fn) {
-  const std::vector<TrialSpec> specs =
-      flatten_trials(spec.scenarios, spec.base_seed);
-  if (begin > end || end > specs.size()) {
+  const TrialList trials(spec.scenarios, spec.base_seed);
+  if (begin > end || end > trials.size()) {
     throw std::invalid_argument(
         "campaign::remote::run_range: range [" + std::to_string(begin) + ", " +
         std::to_string(end) + ") outside campaign of " +
-        std::to_string(specs.size()) + " trials");
+        std::to_string(trials.size()) + " trials");
   }
   ReportSlice s;
   s.spec_hash = spec.hash();
@@ -438,10 +437,12 @@ ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
   s.begin = begin;
   s.end = end;
   s.results.resize(end - begin);
+  TrialSpec trial;
   for (std::uint64_t i = begin; i < end; ++i) {
     if (progress) progress(i);
+    trials.get(i, trial);
     TrialResult& out = s.results[i - begin];
-    out = run_trial_captured(fn, specs[i]);
+    out = run_trial_captured(fn, trial);
     // Trace buffers do not ride slices (they are not part of the JSON
     // report; shipping them would dwarf the results).
     out.traces.clear();

@@ -1,23 +1,19 @@
 // The AXI bundle layout contract (axi/types.hpp): no implicit padding,
 // zeroed pad members, operator== as one byte compare. Every field of
 // every flit and bundle takes part in ==, brace-init keeps the AXI
-// argument order, a wire write reports exactly the value changes, and
-// the serialized order is visit_fields()'s, not the memory order.
+// argument order, and a wire write reports exactly the value changes.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "axi/types.hpp"
-#include "sim/bytes.hpp"
 #include "sim/context.hpp"
-#include "sim/state.hpp"
 #include "sim/wire.hpp"
 
 namespace {
@@ -224,62 +220,6 @@ void expect_wire_reports_value_changes(const Mutators<T>& muts) {
 TEST(AxiTypes, WireWriteReportsExactlyTheValueChanges) {
   expect_wire_reports_value_changes(req_mutators());
   expect_wire_reports_value_changes(rsp_mutators());
-}
-
-struct Save final : sim::StateVisitor {
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-struct Load final : sim::StateVisitor {
-  explicit Load(const std::vector<unsigned char>& bytes)
-      : StateVisitor(bytes.data(), bytes.size()) {}
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::runtime_error(msg);
-  }
-};
-
-TEST(AxiTypes, SerializedOrderIsVisitFieldsOrder) {
-  AxFlit ax{0x11223344, 0x5566778899AABBCC, 0x0F, 0x02, Burst::kWrap};
-  Save save;
-  visit(save, ax);
-  std::vector<unsigned char> want;
-  sim::bytes::put_le(want, std::uint32_t{0x11223344});  // id, not addr
-  sim::bytes::put_le(want, std::uint64_t{0x5566778899AABBCC});
-  want.push_back(0x0F);
-  want.push_back(0x02);
-  sim::bytes::put_le(want, std::uint32_t{2});  // enums travel in 32 bits
-  EXPECT_EQ(save.take_bytes(), want);
-
-  RFlit r{0x0A0B0C0D, 0x0102030405060708, Resp::kSlvErr, true};
-  Save save_r;
-  visit(save_r, r);
-  want.clear();
-  sim::bytes::put_le(want, std::uint32_t{0x0A0B0C0D});  // id, not data
-  sim::bytes::put_le(want, std::uint64_t{0x0102030405060708});
-  sim::bytes::put_le(want, std::uint32_t{2});
-  want.push_back(1);
-  EXPECT_EQ(save_r.take_bytes(), want);
-}
-
-// A loaded value compares equal to the saved one: the walk covers every
-// field and leaves the pads zero.
-template <typename T>
-void expect_round_trip(const Mutators<T>& muts) {
-  T x{};
-  for (const auto& m : muts) m(x);
-  Save save;
-  visit(save, x);
-  const std::vector<unsigned char> bytes = save.take_bytes();
-  T loaded{};
-  Load load(bytes);
-  visit(load, loaded);
-  EXPECT_TRUE(loaded == x);
-}
-
-TEST(AxiTypes, BundlesRoundTripThroughTheStateWalk) {
-  expect_round_trip(req_mutators());
-  expect_round_trip(rsp_mutators());
 }
 
 }  // namespace

@@ -168,22 +168,31 @@ TEST_F(CampaignEngine, CustomTrialFnAndJsonShape) {
   EXPECT_NE(json.find(hash_field), std::string::npos);
 }
 
-TEST_F(CampaignEngine, RunsExactlyTheFlattenedTrials) {
-  // Global trial i is flatten_trials()[i], seed included, at any thread
-  // count: across empty scenarios, and with explicit seeds kept.
+TEST_F(CampaignEngine, TrialOrderAndSeedsAcrossEmptyScenarios) {
+  // Global trial i is the i-th spec in scenario order, empty scenarios
+  // skipped; an explicit seed is kept and seed 0 becomes
+  // derive_trial_seed(base, i): in flatten_trials() and in Engine::run
+  // at any thread count.
   std::vector<campaign::Scenario> sc(5);
-  std::uint64_t tag = 0;
+  std::vector<std::uint64_t> seeds;
   for (const std::size_t si : {0, 2, 3}) {
     for (int k = 0; k < 3; ++k) {
+      const std::uint64_t i = seeds.size();
       campaign::TrialSpec t;
-      t.inject_delay_max = ++tag;
-      t.seed = si == 2 && k != 1 ? 1000 + tag : 0;
+      t.inject_delay_max = i;
+      t.seed = si == 2 && k != 1 ? 1000 + i : 0;
+      seeds.push_back(t.seed != 0 ? t.seed
+                                  : campaign::derive_trial_seed(7ull, i));
       sc[si].trials.push_back(t);
     }
   }
   const std::vector<campaign::TrialSpec> flat =
       campaign::flatten_trials(sc, 7ull);
-  ASSERT_EQ(flat.size(), 9u);
+  ASSERT_EQ(flat.size(), seeds.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flat[i].inject_delay_max, i) << i;
+    EXPECT_EQ(flat[i].seed, seeds[i]) << i;
+  }
   for (const unsigned threads : {1u, 3u}) {
     campaign::Engine eng({threads, 7ull});
     const campaign::Report rep =
@@ -193,10 +202,10 @@ TEST_F(CampaignEngine, RunsExactlyTheFlattenedTrials) {
           r.latency = s.inject_delay_max;
           return r;
         });
-    ASSERT_EQ(rep.results.size(), flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      EXPECT_EQ(rep.results[i].cycles_run, flat[i].seed) << i;
-      EXPECT_EQ(rep.results[i].latency, flat[i].inject_delay_max) << i;
+    ASSERT_EQ(rep.results.size(), seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      EXPECT_EQ(rep.results[i].cycles_run, seeds[i]) << i;
+      EXPECT_EQ(rep.results[i].latency, i) << i;
     }
   }
 }
