@@ -47,21 +47,12 @@ struct Outcome {
 /// stall is injected (must still be caught).
 Outcome run(bool adaptive, std::uint8_t burst_len) {
   Outcome o;
-  tmu::TmuConfig cfg = cfg_with(adaptive);
-  bench::IpBench b(cfg);
-  // Replace the default memory with one whose write data path is slow
-  // (one beat every 2 cycles); b.mem simply never runs.
-  axi::MemoryConfig mc;
-  mc.w_ready_every = 2;
-  axi::MemorySubordinate slow_mem("slow_mem", b.l_mem, mc);
-  sim::Simulator s;
-  s.add(b.gen);
-  s.add(b.inj_m);
-  s.add(b.tmu);
-  s.add(b.inj_s);
-  s.add(slow_mem);
-  s.add(b.rst);
-  s.reset();
+  // The testbench's memory with a slow write data path (one beat every
+  // 2 cycles).
+  soc::SocDesc d = soc::ip_testbench_desc(cfg_with(adaptive));
+  d.subordinates[0].mem.w_ready_every = 2;
+  bench::IpBench b(d);
+  sim::Simulator& s = b.s;
 
   for (int i = 0; i < 6; ++i) {
     b.gen.push(axi::TxnDesc{true, static_cast<axi::Id>(i % 2),

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "axi/link.hpp"
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
 #include "fault/injector.hpp"
@@ -30,10 +29,10 @@ inline void rule(int width = 78) {
 /// IP-level testbench: gen -> [mgr injector] -> TMU -> [sub injector] ->
 /// memory, with the external reset unit. A view over
 /// SocBuilder::build(soc::ip_testbench_desc(cfg)), the same netlist the
-/// campaign fault trials run. Used by the Fig. 8/9 benches.
+/// campaign fault trials run, or over a variant of that desc. Used by
+/// the Fig. 8/9 benches and the ablations.
 struct IpBench {
   std::unique_ptr<soc::Soc> netlist;
-  axi::Link& l_mem;
   axi::TrafficGenerator& gen;
   fault::FaultInjector& inj_m;
   tmu::Tmu& tmu;
@@ -43,8 +42,9 @@ struct IpBench {
   sim::Simulator& s;
 
   explicit IpBench(const tmu::TmuConfig& cfg)
-      : netlist(soc::SocBuilder::build(soc::ip_testbench_desc(cfg))),
-        l_mem(netlist->link("mem.in")),
+      : IpBench(soc::ip_testbench_desc(cfg)) {}
+  explicit IpBench(const soc::SocDesc& desc)
+      : netlist(soc::SocBuilder::build(desc)),
         gen(netlist->get<axi::TrafficGenerator>("gen")),
         inj_m(netlist->get<fault::FaultInjector>("inj_m")),
         tmu(netlist->get<tmu::Tmu>("tmu")),

@@ -37,12 +37,14 @@ echo "check.sh: event-driven vs full-sweep equivalence OK"
 ./build/test_xbar_shard_equiv --gtest_brief=1
 echo "check.sh: sharded crossbar vs pinned xbar_goldens OK"
 
-# Topology gate: the SocBuilder elaboration of cheshire_desc() must be
-# cycle-exact against the legacy hand-wired construction (wire-for-wire
-# lockstep through fault + recovery) and the builder-based fault trial
-# must match the hand-wired IP testbench result-for-result.
+# Topology gate: the SocBuilder elaborations of the Cheshire SoC and the
+# IP testbench must reproduce every digest pinned in
+# tests/data/soc_goldens/hashes.txt (per-link traces and TMU/system
+# outcomes through fault + recovery under both scheduler policies, the
+# IP fault trials' outcomes, a two-thread engine campaign), and every
+# pinned digest must be checked.
 ./build/test_soc_desc_equiv --gtest_brief=1
-echo "check.sh: builder vs hand-wired topology equivalence OK"
+echo "check.sh: builder vs pinned Cheshire/IP-testbench goldens OK"
 
 # Hierarchy gate: the degenerate 1-level cluster wrap (transparent
 # bridges) must be cycle-exact against the flat build under both
@@ -92,7 +94,7 @@ TMU_CAMPAIGN_WORKER=./build/campaign_worker \
   ./build/distributed_campaign > /dev/null
 echo "check.sh: distributed-campaign dispatcher recovery OK"
 
-# Snapshot gate: tmu-soc-snapshot-v2 strict-decode rejection paths +
+# Snapshot gate: tmu-soc-snapshot-v3 strict-decode rejection paths +
 # committed fixture byte-pin, the hier-grid/Cheshire round-trip fuzz, a
 # repeated restore into one netlist pinned at zero heap allocations,
 # then the cold-vs-fork equivalence contract: a warm-up-heavy campaign

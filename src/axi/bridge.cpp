@@ -7,7 +7,12 @@
 namespace axi {
 
 Bridge::Bridge(std::string name, Link& up, Link& down, BridgeConfig cfg)
-    : sim::Module(std::move(name)), up_(up), down_(down), cfg_(cfg) {
+    : sim::Module(std::move(name)),
+      up_(up),
+      down_(down),
+      cfg_(cfg),
+      wr_ids_(0),
+      rd_ids_(0) {
   const auto err = [this](const std::string& msg) {
     throw std::invalid_argument("Bridge '" + this->name() + "': " + msg);
   };
@@ -19,9 +24,15 @@ Bridge::Bridge(std::string name, Link& up, Link& down, BridgeConfig cfg)
     err("id_remap needs a latched bridge (latency >= 1)");
   }
   if (cfg_.id_remap && cfg_.max_ids == 0) err("id_remap with max_ids = 0");
+  if (cfg_.id_remap && cfg_.max_ids > IdRemapper::kMaxSlots) {
+    err("id_remap with max_ids = " + std::to_string(cfg_.max_ids) +
+        " above 256 (tIDs are 8 bits)");
+  }
   if (!transparent() && cfg_.fifo_depth == 0) err("fifo_depth = 0");
-  wr_ids_.resize(cfg_.id_remap ? cfg_.max_ids : 0);
-  rd_ids_.resize(cfg_.id_remap ? cfg_.max_ids : 0);
+  if (cfg_.id_remap) {
+    wr_ids_ = IdRemapper(cfg_.max_ids);
+    rd_ids_ = IdRemapper(cfg_.max_ids);
+  }
   tick_evt_ = !transparent();
 }
 
@@ -103,8 +114,8 @@ void Bridge::tick() {
 
   // Downstream handshakes: retire downbound heads, capture responses
   // into the upbound queues (restoring the original ID when remapping;
-  // a tID the pool does not know — possible only after hw_reset dropped
-  // the mapping mid-flight — passes through untranslated).
+  // a tID the remapper does not know — possible only after hw_reset
+  // dropped the mapping mid-flight — passes through untranslated).
   if (aw_fire(dq, ds)) {
     aw_q_.pop_front();
     act = true;
@@ -120,7 +131,7 @@ void Bridge::tick() {
   if (b_fire(dq, ds)) {
     BFlit b = ds.b;
     if (cfg_.id_remap && wr_ids_.busy(b.id)) {
-      const std::uint32_t tid = static_cast<std::uint32_t>(b.id);
+      const auto tid = static_cast<std::uint8_t>(b.id);
       b.id = wr_ids_.original_id(tid);
       wr_ids_.release(tid);
     }
@@ -130,7 +141,7 @@ void Bridge::tick() {
   if (r_fire(dq, ds)) {
     RFlit r = ds.r;
     if (cfg_.id_remap && rd_ids_.busy(r.id)) {
-      const std::uint32_t tid = static_cast<std::uint32_t>(r.id);
+      const auto tid = static_cast<std::uint8_t>(r.id);
       r.id = rd_ids_.original_id(tid);
       if (r.last) rd_ids_.release(tid);
     }

@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "axi/id_remap.hpp"
 #include "axi/link.hpp"
 #include "axi/types.hpp"
 #include "sim/module.hpp"
@@ -25,8 +23,10 @@ struct BridgeConfig {
   std::uint32_t rsp_latency = 1;
   /// Compact the upstream ID space (which carries the parent crossbar's
   /// manager prefix) into tIDs in [0, max_ids) on the downstream side,
-  /// so a nested crossbar only needs enough ID bits for max_ids. New IDs
-  /// stall upstream when all slots are busy. Requires latency >= 1.
+  /// so a nested crossbar only needs enough ID bits for max_ids. One
+  /// axi::IdRemapper per direction, the TMU's slot discipline (§II-A):
+  /// new IDs stall upstream when all slots are busy. Requires latency
+  /// >= 1 and max_ids in [1, 256] (tIDs are 8 bits).
   bool id_remap = false;
   std::uint32_t max_ids = 16;
   /// Per-channel staging capacity; full queues backpressure the sender.
@@ -51,8 +51,8 @@ struct BridgeConfig {
 class Bridge : public sim::Module {
  public:
   /// Throws std::invalid_argument on inconsistent configs: transparent
-  /// (latency 0/0) with id_remap, mixed 0/non-0 latencies, max_ids = 0,
-  /// fifo_depth = 0.
+  /// (latency 0/0) with id_remap, mixed 0/non-0 latencies, remapping
+  /// with max_ids = 0 or above 256, fifo_depth = 0.
   Bridge(std::string name, Link& up, Link& down, BridgeConfig cfg = {});
 
   void eval() override;
@@ -93,105 +93,10 @@ class Bridge : public sim::Module {
 
   std::size_t writes_forwarded() const { return writes_forwarded_; }
   std::size_t reads_forwarded() const { return reads_forwarded_; }
-  std::uint32_t active_write_ids() const { return wr_ids_.active(); }
-  std::uint32_t active_read_ids() const { return rd_ids_.active(); }
+  std::uint32_t active_write_ids() const { return wr_ids_.active_ids(); }
+  std::uint32_t active_read_ids() const { return rd_ids_.active_ids(); }
 
  private:
-  /// Compact ID allocator (the TMU remapper's discipline, §II-A): a
-  /// slot is claimed by the first outstanding transaction of an ID and
-  /// freed when its count drops to zero; same upstream ID keeps the
-  /// same tID while busy, preserving AXI same-ID ordering end to end.
-  class IdPool {
-   public:
-    void resize(std::uint32_t n) { slots_.assign(n, Slot{}); }
-    bool can_admit(Id id) const {
-      return lookup(id).has_value() || free_slot().has_value();
-    }
-    std::optional<std::uint32_t> admit(Id id) {
-      if (auto t = lookup(id)) {
-        ++slots_[*t].outstanding;
-        return t;
-      }
-      if (auto f = free_slot()) {
-        slots_[*f].id = id;
-        slots_[*f].outstanding = 1;
-        map_[id] = *f;
-        return f;
-      }
-      return std::nullopt;
-    }
-    bool busy(std::uint64_t tid) const {
-      return tid < slots_.size() && slots_[tid].outstanding > 0;
-    }
-    Id original_id(std::uint32_t tid) const { return slots_[tid].id; }
-    void release(std::uint32_t tid) {
-      Slot& s = slots_[tid];
-      if (s.outstanding > 0 && --s.outstanding == 0) map_.erase(s.id);
-    }
-    std::uint32_t active() const {
-      return static_cast<std::uint32_t>(map_.size());
-    }
-    void clear() {
-      for (Slot& s : slots_) s = {};
-      map_.clear();
-    }
-
-    /// State serde: slots only; map_ is a derived index rebuilt on load
-    /// (unordered iteration never reaches the byte stream), and only
-    /// where it disagrees with the loaded slots, so a restore that finds
-    /// it right keeps its nodes.
-    template <typename V>
-    void visit_fields(V& v) {
-      std::uint64_t n = slots_.size();
-      v.count(n);
-      if (!v.saving() && n != slots_.size()) {
-        v.fail("bridge ID pool size mismatch: snapshot has " +
-               std::to_string(n) + " slots, pool has " +
-               std::to_string(slots_.size()));
-      }
-      for (Slot& s : slots_) {
-        visit(v, s.id);
-        visit(v, s.outstanding);
-      }
-      if (!v.saving() && !index_matches()) {
-        map_.clear();
-        for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-          if (slots_[i].outstanding > 0) map_[slots_[i].id] = i;
-        }
-      }
-    }
-
-   private:
-    struct Slot {
-      Id id = 0;
-      std::uint32_t outstanding = 0;
-    };
-    std::optional<std::uint32_t> lookup(Id id) const {
-      const auto it = map_.find(id);
-      if (it == map_.end()) return std::nullopt;
-      return it->second;
-    }
-    /// map_ is exactly what rebuilding it from slots_ would give.
-    bool index_matches() const {
-      std::size_t live = 0;
-      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].outstanding == 0) continue;
-        ++live;
-        const auto it = map_.find(slots_[i].id);
-        if (it == map_.end() || it->second != i) return false;
-      }
-      return live == map_.size();
-    }
-    std::optional<std::uint32_t> free_slot() const {
-      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].outstanding == 0) return i;
-      }
-      return std::nullopt;
-    }
-    std::vector<Slot> slots_;
-    std::unordered_map<Id, std::uint32_t> map_;
-  };
-
   /// A flit in flight across the bridge, visible on the far side once
   /// the simulation reaches `ready_at`.
   template <typename F>
@@ -214,8 +119,8 @@ class Bridge : public sim::Module {
   std::deque<Timed<ArFlit>> ar_q_;  ///< downbound
   std::deque<Timed<BFlit>> b_q_;    ///< upbound
   std::deque<Timed<RFlit>> r_q_;    ///< upbound
-  IdPool wr_ids_;
-  IdPool rd_ids_;
+  IdRemapper wr_ids_;  ///< no slots unless cfg_.id_remap
+  IdRemapper rd_ids_;
 
   std::uint64_t cycle_ = 0;
   std::size_t writes_forwarded_ = 0, reads_forwarded_ = 0;

@@ -23,9 +23,9 @@ class Crossbar::MgrShard final : public sim::Module {
       : sim::Module(std::move(name)), x_(owner), m_(m) {}
 
   void eval() override;
-  /// The edge report: the facade's tick() sets it from the flag it
-  /// computes for this shard, so the shard itself needs no tick() and
-  /// the kernel reads the report right after the facade's.
+  /// The edge report: the facade's tick() sets it for this shard, so
+  /// the shard itself needs no tick() and the kernel reads the report
+  /// right after the facade's.
   void report(bool evt) { tick_evt_ = evt; }
   bool is_sequential() const override { return false; }
   void reset() override { prev_.fill(kNone); }
@@ -359,40 +359,26 @@ void Crossbar::visit_inputs(sim::InputVisitor& in) {
   }
 }
 
-/// Commits the cycle's handshakes into the shared XbarState and
-/// recomputes the per-shard edge-activity flags: a shard is marked only
-/// when the edge mutated state its eval reads (grant FIFOs, round-robin
-/// pointers, ID routes, DECERR queues); pure wire traffic is traced by
-/// the scheduler. The work is O(active ports): only live manager ports
-/// are read, a B/R source is sought among the manager's occupied
-/// response wires, and only the flags of this edge and the previous one
-/// are touched.
+/// Commits the cycle's handshakes into the shared XbarState and sets
+/// the shards' edge reports: a shard's is raised only when the edge
+/// mutated state its eval reads (grant FIFOs, round-robin pointers, ID
+/// routes, DECERR queues); pure wire traffic is traced by the
+/// scheduler. The work is O(active ports): only live manager ports are
+/// read, a B/R source is sought among the manager's occupied response
+/// wires, and only the reports of this edge and the previous one are
+/// touched.
 void Crossbar::tick() {
   const std::size_t n_m = mgrs_.size();
   const std::size_t n_s = subs_.size();
 
-  // Lower the flags the previous edge raised; every other flag, and its
-  // shard's report, is already clear.
-  evt_mgrs_.for_each(0, [&](std::size_t m) {
-    st_.mgr_evt[m] = 0;
-    mgr_shards_[m]->report(false);
-  });
-  evt_subs_.for_each(0, [&](std::size_t s) {
-    st_.sub_evt[s] = 0;
-    sub_shards_[s]->report(false);
-  });
+  // Lower the reports the previous edge raised; every other shard's
+  // report is already clear.
+  evt_mgrs_.for_each(0, [&](std::size_t m) { mgr_shards_[m]->report(false); });
+  evt_subs_.for_each(0, [&](std::size_t s) { sub_shards_[s]->report(false); });
   evt_mgrs_.fill(false);
   evt_subs_.fill(false);
-  const auto raise_mgr = [&](std::size_t m) {
-    st_.mgr_evt[m] = 1;
-    evt_mgrs_.set(0, m);
-  };
-  const auto raise_sub = [&](std::size_t s) {
-    st_.sub_evt[s] = 1;
-    evt_subs_.set(0, s);
-  };
 
-  // The facade's own edge report: quiet ports all around and empty
+  // Whether the facade stays awake: quiet ports all around and empty
   // DECERR queues mean the edge committed nothing and the next one
   // cannot either, so the facade may sleep.
   bool evt = dec_mgrs_.any();
@@ -406,7 +392,7 @@ void Crossbar::tick() {
           mr.r_valid;
 
     if (aw_fire(mq, mr)) {
-      raise_mgr(m);
+      evt_mgrs_.set(0, m);
       const std::size_t s = st_.decoder.lookup(mq.aw.addr, tick_aw_hint_[m]);
       st_.aw_id_route[m].open(mq.aw.id, s);
       if (s == kDecErr) {
@@ -417,11 +403,11 @@ void Crossbar::tick() {
         st_.w_route[s].push_back(m);
         st_.mgr_w_route[m].push_back(s);
         st_.aw_rr[s] = (m + 1) % n_m;
-        raise_sub(s);
+        evt_subs_.set(0, s);
       }
     }
     if (ar_fire(mq, mr)) {
-      raise_mgr(m);
+      evt_mgrs_.set(0, m);
       const std::size_t s = st_.decoder.lookup(mq.ar.addr, tick_ar_hint_[m]);
       st_.ar_id_route[m].open(mq.ar.id, s);
       if (s == kDecErr) {
@@ -429,13 +415,13 @@ void Crossbar::tick() {
         ++st_.decode_errors;
       } else {
         st_.ar_rr[s] = (m + 1) % n_m;
-        raise_sub(s);
+        evt_subs_.set(0, s);
       }
     }
     // W beat consumed.
     if (w_fire(mq, mr)) {
       assert(!st_.mgr_w_route[m].empty());
-      raise_mgr(m);
+      evt_mgrs_.set(0, m);
       const std::size_t s = st_.mgr_w_route[m].front();
       if (s == kDecErr) {
         if (mq.w.last) {
@@ -450,13 +436,13 @@ void Crossbar::tick() {
       } else if (mq.w.last) {
         st_.mgr_w_route[m].pop_front();
         st_.w_route[s].pop_front();
-        raise_sub(s);
+        evt_subs_.set(0, s);
       }
     }
     // B delivered: from the first subordinate handshaking a B of this
     // manager, else from the DECERR queue (retire that entry).
     if (b_fire(mq, mr)) {
-      raise_mgr(m);
+      evt_mgrs_.set(0, m);
       st_.aw_id_route[m].close(mr.b.id);
       const std::size_t src = xrsp_occ_.find(m, [&](std::size_t s) {
         const AxiRsp& sr = subs_[s]->rsp.read();
@@ -478,7 +464,7 @@ void Crossbar::tick() {
     }
     // R beat delivered.
     if (r_fire(mq, mr)) {
-      raise_mgr(m);
+      evt_mgrs_.set(0, m);
       if (mr.r.last) st_.ar_id_route[m].close(mr.r.id);
       const std::size_t src = xrsp_occ_.find(m, [&](std::size_t s) {
         const AxiRsp& sr = subs_[s]->rsp.read();
@@ -499,12 +485,11 @@ void Crossbar::tick() {
     // Only a port that fired above can have changed its DECERR queues.
     dec_mgrs_.assign(0, m, !st_.dec_w[m].empty() || !st_.dec_r[m].empty());
   });
-  tick_evt_ = evt;
   evt_mgrs_.for_each(0, [&](std::size_t m) { mgr_shards_[m]->report(true); });
   evt_subs_.for_each(0, [&](std::size_t s) { sub_shards_[s]->report(true); });
   // Quiet manager ports and drained DECERR queues: no handshake can
-  // fire, and every per-shard flag is already clear. The kernel reads the
-  // shards' reports only at edges this facade ticks at, so they stay
+  // fire, and every shard's report is already clear. The kernel reads
+  // the shards' reports only at edges this facade ticks at, so they stay
   // clear while it sleeps.
   set_tick_idle(!evt);
 }
@@ -531,7 +516,6 @@ void Crossbar::rebuild_masks() {
 
 void Crossbar::reset() {
   st_.clear();
-  tick_evt_ = true;
   for (Link* s : subs_) s->req.force(AxiReq{});
   for (Link* m : mgrs_) m->rsp.force(AxiRsp{});
   // A clear occupancy bit already means a default internal wire, so
@@ -552,7 +536,6 @@ void Crossbar::visit_state(sim::StateVisitor& v) {
   // the row/column shape is construction-fixed).
   for (auto& w : xreq_) visit(v, w);
   for (auto& w : xrsp_) visit(v, w);
-  visit(v, tick_evt_);
   // The masks are derived; a restore re-derives them from what it loaded.
   if (!v.saving()) rebuild_masks();
 }

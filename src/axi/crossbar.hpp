@@ -181,8 +181,9 @@ class Crossbar : public sim::Module {
 
   /// The masks for default internal wires and empty DECERR queues
   /// (construction, reset()): no occupancy, no DECERR activity. The live
-  /// ports and the previous edge's flags are set conservatively, to all
-  /// ones: the shards' evals and the next tick() narrow them.
+  /// ports and the shards whose report the previous edge raised are set
+  /// conservatively, to all ones: the shards' evals and the next tick()
+  /// narrow them.
   void reset_masks();
   /// After a restore: reset_masks(), then occupancy from the loaded
   /// internal wires and DECERR activity from the loaded queues.
@@ -224,8 +225,9 @@ class Crossbar : public sim::Module {
   /// Manager ports whose MgrShard last saw a request valid or drove a
   /// response valid: the only ports at which tick() can commit anything.
   PortMasks live_mgrs_;
-  /// Shard flags (XbarState::mgr_evt / sub_evt) raised at the last edge:
-  /// the next tick() lowers these and no others.
+  /// Shards whose edge report the last edge raised: the next tick()
+  /// lowers these reports and no others. These masks and the shards'
+  /// own reports are the only record of the per-shard edge flags.
   PortMasks evt_mgrs_;
   PortMasks evt_subs_;
   /// Managers with a non-empty DECERR queue.

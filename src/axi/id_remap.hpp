@@ -8,28 +8,33 @@
 
 #include "axi/types.hpp"
 
-namespace tmu {
+namespace axi {
 
 /// AXI ID Remapper (§II-A): compacts the wide, sparse AXI4 ID space into
-/// tIDs in [0, max_uniq_ids). A slot is allocated on the first
-/// transaction of an ID and freed when its outstanding count drops to
-/// zero. When all slots are taken by *other* IDs, new IDs must stall
-/// (the TMU gates the AW/AR ready path).
+/// tIDs in [0, capacity). A slot is allocated on the first transaction
+/// of an ID and freed when its outstanding count drops to zero, so one
+/// ID keeps its tID while busy and AXI same-ID ordering holds end to
+/// end. When all slots are taken by *other* IDs, new IDs must stall:
+/// the TMU gates the AW/AR ready path, an axi::Bridge its upstream
+/// readies.
 class IdRemapper {
  public:
-  /// Throws std::invalid_argument above 256 slots: tIDs are 8 bits.
-  explicit IdRemapper(std::uint32_t max_uniq_ids) {
-    if (max_uniq_ids > 256) {
-      throw std::invalid_argument("TMU max_uniq_ids " +
-                                  std::to_string(max_uniq_ids) +
+  /// The most slots a remapper may have: tIDs are 8 bits.
+  static constexpr std::uint32_t kMaxSlots = 256;
+
+  /// Throws std::invalid_argument above kMaxSlots slots.
+  explicit IdRemapper(std::uint32_t slots) {
+    if (slots > kMaxSlots) {
+      throw std::invalid_argument("ID remapper capacity " +
+                                  std::to_string(slots) +
                                   " exceeds 256 (tIDs are 8 bits)");
     }
-    slots_.resize(max_uniq_ids);
+    slots_.resize(slots);
   }
 
-  /// tID for an already-mapped ID, if any. A scan over the slots (at
-  /// most max_uniq_ids, 4 by default): a busy slot's ID is unique.
-  std::optional<std::uint8_t> lookup(axi::Id id) const {
+  /// tID for an already-mapped ID, if any. A scan over the slots (a
+  /// default TMU has 4): a busy slot's ID is unique.
+  std::optional<std::uint8_t> lookup(Id id) const {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (slots_[i].outstanding > 0 && slots_[i].id == id) {
         return static_cast<std::uint8_t>(i);
@@ -40,13 +45,13 @@ class IdRemapper {
 
   /// True if a transaction with this ID could be admitted now
   /// (already mapped, or a free slot exists).
-  bool can_admit(axi::Id id) const {
+  bool can_admit(Id id) const {
     return lookup(id).has_value() || free_slot().has_value();
   }
 
   /// Admits one transaction of `id`; allocates a slot if needed.
   /// Returns the tID, or nullopt if saturated (caller must stall).
-  std::optional<std::uint8_t> admit(axi::Id id) {
+  std::optional<std::uint8_t> admit(Id id) {
     if (auto t = lookup(id)) {
       ++slots_[*t].outstanding;
       return t;
@@ -65,8 +70,14 @@ class IdRemapper {
     if (s.outstanding > 0) --s.outstanding;
   }
 
+  /// Whether `tid` names a slot that is mapped now. Takes a full-width
+  /// ID, as a response carries it, so an out-of-range one is not busy.
+  bool busy(Id tid) const {
+    return tid < slots_.size() && slots_[tid].outstanding > 0;
+  }
+
   /// The original AXI ID currently mapped to tid (valid while busy).
-  axi::Id original_id(std::uint8_t tid) const { return slots_[tid].id; }
+  Id original_id(std::uint8_t tid) const { return slots_[tid].id; }
 
   std::uint32_t active_ids() const {
     std::uint32_t n = 0;
@@ -114,7 +125,7 @@ class IdRemapper {
 
  private:
   struct Slot {
-    axi::Id id = 0;
+    Id id = 0;
     std::uint32_t outstanding = 0;
   };
 
@@ -128,4 +139,4 @@ class IdRemapper {
   std::vector<Slot> slots_;
 };
 
-}  // namespace tmu
+}  // namespace axi

@@ -220,9 +220,7 @@ struct XbarState {
         aw_id_route(n_mgrs),
         ar_id_route(n_mgrs),
         dec_w(n_mgrs),
-        dec_r(n_mgrs),
-        mgr_evt(n_mgrs, 1),
-        sub_evt(n_subs, 1) {}
+        dec_r(n_mgrs) {}
 
   std::size_t n_m, n_s;
   unsigned id_shift;
@@ -245,13 +243,6 @@ struct XbarState {
   std::vector<std::deque<DecErrWrite>> dec_w;  ///< per mgr, AW order
   std::vector<std::deque<DecErrRead>> dec_r;   ///< per mgr, AR order
   std::size_t decode_errors = 0;
-
-  // Per-shard edge-activity flags, recomputed by the facade's tick():
-  // set iff the edge mutated state that the shard's eval reads (wire
-  // changes wake the shards separately). The facade's tick() copies each
-  // into its shard's edge report.
-  std::vector<char> mgr_evt;
-  std::vector<char> sub_evt;
 
   /// Oldest DECERR write of manager m whose data has fully arrived
   /// (the next B the internal DECERR subordinate will offer), if any.
@@ -281,8 +272,6 @@ struct XbarState {
     visit(v, dec_w);
     visit(v, dec_r);
     visit(v, decode_errors);
-    visit(v, mgr_evt);
-    visit(v, sub_evt);
     if (!v.saving()) {
       if (const std::string why = load_error(); !why.empty()) {
         v.fail("crossbar " + why);
@@ -310,8 +299,6 @@ struct XbarState {
         {"ar_id_route", ar_id_route.size(), n_m},
         {"dec_w", dec_w.size(), n_m},
         {"dec_r", dec_r.size(), n_m},
-        {"mgr_evt", mgr_evt.size(), n_m},
-        {"sub_evt", sub_evt.size(), n_s},
     };
     for (const auto& f : shape) {
       if (f.size != f.ports) {
@@ -358,8 +345,6 @@ struct XbarState {
     for (auto& q : dec_w) q.clear();
     for (auto& q : dec_r) q.clear();
     decode_errors = 0;
-    std::fill(mgr_evt.begin(), mgr_evt.end(), 1);
-    std::fill(sub_evt.begin(), sub_evt.end(), 1);
   }
 };
 

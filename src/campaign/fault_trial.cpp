@@ -2,6 +2,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -232,25 +233,26 @@ TrialFn make_forking_trial_fn() {
     if (spec.warmup_cycles == 0) return run_fault_trial(spec);
 
     const TrialSpec key = warmup_key_of(spec);
-    std::promise<std::shared_ptr<const snapshot::Snapshot>> mine;
+    // Only the group's producer fulfils a promise; the others wait.
+    std::optional<std::promise<std::shared_ptr<const snapshot::Snapshot>>>
+        mine;
     std::shared_future<std::shared_ptr<const snapshot::Snapshot>> fut;
     std::unique_ptr<soc::Soc> soc;
     std::size_t group = 0;
-    bool producer = false;
     {
       std::lock_guard<std::mutex> lock(cache->mu);
       std::vector<Group>& groups = cache->groups;
       while (group < groups.size() && !(groups[group].key == key)) ++group;
       if (group == groups.size()) {
-        groups.push_back(Group{key, mine.get_future().share(), {}});
-        producer = true;
+        mine.emplace();
+        groups.push_back(Group{key, mine->get_future().share(), {}});
       } else if (!groups[group].idle.empty()) {
         soc = std::move(groups[group].idle.back());
         groups[group].idle.pop_back();
       }
       fut = groups[group].snap;
     }
-    if (producer) {
+    if (mine) {
       // Run the shared warm-up outside the lock; waiters block on the
       // future. A warm-up failure is delivered to every trial of the
       // group — the same exception the cold path would throw per trial.
@@ -258,11 +260,11 @@ TrialFn make_forking_trial_fn() {
         std::unique_ptr<soc::Soc> warm =
             soc::SocBuilder::build(make_trial_desc(key));
         apply_traffic_and_warm(key, *warm);
-        mine.set_value(std::make_shared<const snapshot::Snapshot>(
+        mine->set_value(std::make_shared<const snapshot::Snapshot>(
             snapshot::capture(*warm)));
         soc = std::move(warm);  // becomes this trial's netlist
       } catch (...) {
-        mine.set_exception(std::current_exception());
+        mine->set_exception(std::current_exception());
       }
     }
     const std::shared_ptr<const snapshot::Snapshot> snap = fut.get();

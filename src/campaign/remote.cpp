@@ -603,17 +603,26 @@ pid_t spawn_worker(const std::string& binary, const fs::path& spec_path,
   return pid;  // -1 on fork failure; caller degrades to in-process
 }
 
-/// Owns the scratch directory lifetime (removed unless kept).
+/// A fresh scratch directory for spec/slice/progress files under the
+/// system temp dir, removed with everything in it.
 struct WorkDir {
   fs::path path;
-  bool owned = false;
-  bool keep = false;
 
-  ~WorkDir() {
-    if (owned && !keep) {
-      std::error_code ec;
-      fs::remove_all(path, ec);  // best effort; never throws from a dtor
+  WorkDir() {
+    std::string tmpl =
+        (fs::temp_directory_path() / "tmu_campaign_XXXXXX").string();
+    if (mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error(
+          "campaign::remote::Dispatcher: cannot create work dir under " +
+          fs::temp_directory_path().string());
     }
+    path = tmpl;
+  }
+  WorkDir(const WorkDir&) = delete;
+  WorkDir& operator=(const WorkDir&) = delete;
+  ~WorkDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);  // best effort; never throws from a dtor
   }
 };
 
@@ -644,22 +653,7 @@ Report Dispatcher::run(const CampaignSpec& spec) {
     return merge_slices(spec, slices);
   }
 
-  WorkDir dir;
-  dir.keep = opts_.keep_work_dir;
-  if (!opts_.work_dir.empty()) {
-    dir.path = opts_.work_dir;
-    fs::create_directories(dir.path);
-  } else {
-    std::string tmpl =
-        (fs::temp_directory_path() / "tmu_campaign_XXXXXX").string();
-    if (mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error(
-          "campaign::remote::Dispatcher: cannot create work dir under " +
-          fs::temp_directory_path().string());
-    }
-    dir.path = tmpl;
-    dir.owned = true;
-  }
+  const WorkDir dir;
   const fs::path spec_path = dir.path / "spec.json";
   write_file(spec_path, spec.to_json());
   const std::uint64_t spec_hash = spec.hash();

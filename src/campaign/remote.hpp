@@ -122,9 +122,6 @@ struct DispatcherOptions {
   unsigned workers = 0;
   /// Contiguous ranges to split the campaign into; 0 = worker count.
   unsigned shards = 0;
-  /// Scratch directory for spec/slice/progress files; empty = a fresh
-  /// directory under the system temp dir, removed afterwards.
-  std::string work_dir;
   /// A worker that makes no progress (its progress file stops growing)
   /// for this long is killed and its range re-issued.
   std::uint64_t deadline_ms = 30000;
@@ -135,7 +132,6 @@ struct DispatcherOptions {
   unsigned max_retries = 2;
   /// First re-issue delay; doubles per subsequent retry of that range.
   std::uint64_t retry_backoff_ms = 50;
-  bool keep_work_dir = false;  ///< leave spec/slice files for inspection
 };
 
 /// What happened operationally (never part of the report: the merged

@@ -12,7 +12,7 @@
 #include <utility>
 
 /// The repo's one binary codec, shared by both on-disk formats
-/// (tmu-axi-trace-v1, tmu-soc-snapshot-v2) and the sim::StateVisitor
+/// (tmu-axi-trace-v1, tmu-soc-snapshot-v3) and the sim::StateVisitor
 /// serde: fixed-width little-endian integers independent of the host's
 /// byte order, a bounds-checked cursor for strict decoders, the file
 /// prefix both formats open with, the FNV-1a 64 hash behind every

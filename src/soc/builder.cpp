@@ -3,8 +3,7 @@
 // Canonical registration order (it is part of the topology contract:
 // function-coupled blocks — reset units invoking endpoint hw_reset(),
 // the CPU stub claiming from the PLIC — depend on their relative tick
-// order, and the fault-trial netlist is pinned cycle-exact against the
-// legacy hand-wired testbench):
+// order):
 //   1. managers, in declaration order
 //   2. the crossbar (when enabled)
 //   3. per subordinate, in declaration order: the guard chain
@@ -16,8 +15,11 @@
 //      guards in declaration order, clusters depth-first)
 //   5. the PLIC, then the CPU recovery stub
 // Wire-coupled blocks are order-insensitive (no model writes wires in
-// tick()), which tests/test_soc_desc_equiv.cpp pins for the Cheshire
-// topology and tests/test_soc_hier_equiv.cpp for the nested variant.
+// tick()). tests/test_soc_desc_equiv.cpp pins the outcomes of this
+// order on the Cheshire and IP-testbench netlists (a CPU stub ticking
+// before its PLIC moves a Cheshire digest), and
+// tests/test_soc_hier_equiv.cpp pins the nested variant against the
+// flat one.
 
 #include "soc/builder.hpp"
 
@@ -197,6 +199,11 @@ void SocBuilder::validate(const SocDesc& d) {
         std::map<std::string, std::string> guard_by_sub;
         for (const GuardDesc& g : guards) {
           claim(g.name, "guard");
+          if (g.cfg.max_uniq_ids > axi::IdRemapper::kMaxSlots) {
+            err("guard '" + g.name + "' max_uniq_ids " +
+                std::to_string(g.cfg.max_uniq_ids) +
+                " above 256 (tIDs are 8 bits)");
+          }
           if (!g.mgr_injector.empty()) claim(g.mgr_injector, "mgr_injector");
           if (!g.sub_injector.empty()) claim(g.sub_injector, "sub_injector");
           if (!g.reset_unit.empty()) claim(g.reset_unit, "reset_unit");
@@ -267,6 +274,10 @@ void SocBuilder::validate(const SocDesc& d) {
           }
           if (b.id_remap && b.max_ids == 0) {
             err("cluster '" + s.name + "' bridge remaps IDs with max_ids 0");
+          }
+          if (b.id_remap && b.max_ids > axi::IdRemapper::kMaxSlots) {
+            err("cluster '" + s.name + "' bridge remaps IDs with max_ids " +
+                std::to_string(b.max_ids) + " above 256 (tIDs are 8 bits)");
           }
           if (!transparent && b.fifo_depth == 0) {
             err("cluster '" + s.name + "' bridge has fifo_depth 0");
@@ -536,7 +547,7 @@ std::unique_ptr<Soc> SocBuilder::build(const SocDesc& desc) {
 
   // 6. Observability probes, in declaration order — appended after the
   // functional netlist so probe insertion never perturbs the canonical
-  // registration order (cycle-exact equivalence pins phases 1-5).
+  // registration order (the topology goldens pin phases 1-5).
   for (const ProbeDesc& p : d.probes) {
     add(std::make_unique<obs::LatencyProbe>(p.name, soc->link(p.link),
                                             soc->metrics_));

@@ -5,13 +5,13 @@
 #include <type_traits>
 #include <vector>
 
+#include "axi/id_remap.hpp"
 #include "axi/types.hpp"
 #include "sim/stats.hpp"
 #include "tmu/budget.hpp"
 #include "tmu/config.hpp"
 #include "tmu/counter.hpp"
 #include "tmu/fault.hpp"
-#include "tmu/id_remap.hpp"
 #include "tmu/ott.hpp"
 
 namespace tmu {
@@ -114,8 +114,8 @@ class Guard {
   std::uint64_t perf_log_dropped() const { return perf_dropped_; }
   Ott& ott() { return ott_; }
   const Ott& ott() const { return ott_; }
-  IdRemapper& remapper() { return remap_; }
-  const IdRemapper& remapper() const { return remap_; }
+  axi::IdRemapper& remapper() { return remap_; }
+  const axi::IdRemapper& remapper() const { return remap_; }
 
   template <typename V>
   void visit_fields(V& v) {
@@ -170,7 +170,7 @@ class Guard {
   }
 
   const TmuConfig* cfg_;
-  IdRemapper remap_;
+  axi::IdRemapper remap_;
   Ott ott_;
   BudgetPolicy budget_;
   Prescaler prescaler_;

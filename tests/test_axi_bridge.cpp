@@ -8,12 +8,17 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "axi/bridge.hpp"
 #include "axi/crossbar.hpp"
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
+#include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
+#include "sim/state.hpp"
 #include "soc/builder.hpp"
 
 namespace {
@@ -142,6 +147,25 @@ TEST(AxiBridge, LatencyShiftsCompletionByConfiguredCycles) {
   }
 }
 
+// tIDs are 8 bits, so a remapping bridge has at most 256 slots.
+TEST(AxiBridge, RemapsAtMost256Ids) {
+  Link up, down;
+  BridgeConfig cfg;
+  cfg.id_remap = true;
+  cfg.max_ids = 256;
+  EXPECT_NO_THROW(Bridge("b", up, down, cfg));
+  cfg.max_ids = 257;
+  try {
+    Bridge("b", up, down, cfg);
+    ADD_FAILURE() << "a bridge remapping 257 IDs was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "Bridge 'b': id_remap with max_ids = 257 above 256"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ID remap: wide upstream IDs (as left by a parent crossbar's manager
 // prefix) are compacted to tIDs < max_ids downstream and restored on the
 // way back; the generator's own response matching proves restoration.
@@ -178,7 +202,7 @@ TEST(AxiBridge, IdRemapCompactsDownstreamAndRestoresUpstream) {
 
 // max_ids = 1 serializes distinct upstream IDs (new IDs stall at the
 // bridge until the slot frees) but everything still completes, in order.
-TEST(AxiBridge, IdPoolSaturationStallsWithoutDeadlock) {
+TEST(AxiBridge, IdRemapperSaturationStallsWithoutDeadlock) {
   BridgeConfig cfg;
   cfg.id_remap = true;
   cfg.max_ids = 1;
@@ -193,6 +217,58 @@ TEST(AxiBridge, IdPoolSaturationStallsWithoutDeadlock) {
   }
   EXPECT_EQ(f.gen.completed(), 6u);
   EXPECT_EQ(f.gen.error_responses(), 0u);
+}
+
+struct SaveBytes final : sim::StateVisitor {
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::logic_error(msg);
+  }
+};
+
+struct LoadBytes final : sim::StateVisitor {
+  using StateVisitor::StateVisitor;
+  [[noreturn]] void fail(const std::string& msg) override {
+    throw std::runtime_error(msg);
+  }
+};
+
+// The remapper finds a busy ID's tID by scanning its slots, so two busy
+// slots holding one ID would hide the second: a restore refuses them.
+TEST(AxiBridge, RestoreRejectsTwoBusySlotsOfOneId) {
+  BridgeConfig cfg;
+  cfg.id_remap = true;
+  cfg.max_ids = 2;
+  cfg.req_latency = 40;  // both writes stay outstanding while captured
+  BridgeFixture f(cfg);
+  f.gen.push(TxnDesc{true, 0x55, 0x1000, 0, 3, Burst::kIncr});
+  f.gen.push(TxnDesc{true, 0x77, 0x1040, 0, 3, Burst::kIncr});
+  f.s.run(10);
+  ASSERT_EQ(f.bridge.active_write_ids(), 2u);
+  SaveBytes save;
+  f.bridge.visit_state(save);
+  std::vector<unsigned char> image = save.take_bytes();
+  // The write slots as the walk writes them: ID, then outstanding count.
+  const std::uint32_t fields[] = {0x55, 1, 0x77, 1};
+  std::vector<unsigned char> slots(sizeof(fields));
+  for (std::size_t i = 0; i < 4; ++i) {
+    sim::bytes::store_le(&slots[4 * i], fields[i]);
+  }
+  const auto at =
+      std::search(image.begin(), image.end(), slots.begin(), slots.end());
+  ASSERT_NE(at, image.end());
+  sim::bytes::store_le(&at[8], std::uint32_t{0x55});
+
+  BridgeFixture g(cfg);
+  LoadBytes load(image.data(), image.size());
+  try {
+    g.bridge.visit_state(load);
+    ADD_FAILURE() << "two busy slots of ID 0x55 were restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "ID remapper slots 0 and 1 both map busy ID 85"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // hw_reset drops staged flits and ID mappings (a domain reset severing

@@ -8,8 +8,8 @@
 #include <map>
 #include <optional>
 
+#include "axi/id_remap.hpp"
 #include "sim/random.hpp"
-#include "tmu/id_remap.hpp"
 #include "tmu/ott.hpp"
 
 namespace {
@@ -36,7 +36,7 @@ class RemapFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(RemapFuzz, MatchesOracle) {
   const std::uint32_t cap = 4;
-  tmu::IdRemapper remap(cap);
+  axi::IdRemapper remap(cap);
   RemapOracle oracle(cap);
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
   std::map<axi::Id, std::deque<std::uint8_t>> issued;  // id -> tids

@@ -1,4 +1,4 @@
-// tmu-soc-snapshot-v2 on-disk format: strict decode with every
+// tmu-soc-snapshot-v3 on-disk format: strict decode with every
 // rejection path pinned by byte mutation, restore() contract
 // violations, and the committed fixture byte-pin (decode -> re-encode
 // byte-identical AND re-capture byte-identical, so the walk itself is
@@ -219,15 +219,21 @@ TEST(SnapshotFormat, RejectsUnsupportedVersion) {
   expect_rejects([&] { snapshot::decode(image); }, "unsupported version 126");
 }
 
-TEST(SnapshotFormat, RejectsVersionOneImages) {
-  // v1 payloads also carried the scheduler's traced fan-out and every
-  // wire's scheduling slot; a v2 reader must refuse them by name rather
-  // than misread the walk.
-  std::vector<unsigned char> image = snapshot::encode(small_snapshot());
-  ASSERT_EQ(image[snapshot::kMagicBytes], 2);
-  image[snapshot::kMagicBytes] = 1;
-  expect_rejects([&] { snapshot::decode(image); },
-                 "unsupported version 1 (reader knows 2)");
+TEST(SnapshotFormat, RejectsOlderVersionImages) {
+  // v2 payloads also carried the crossbar's per-shard edge flags and its
+  // facade's edge report, v1 payloads the scheduler's traced fan-out and
+  // every wire's scheduling slot; a v3 reader must refuse both by name
+  // rather than misread the walk.
+  const std::vector<unsigned char> image =
+      snapshot::encode(small_snapshot());
+  ASSERT_EQ(image[snapshot::kMagicBytes], 3);
+  for (const unsigned char old : {1, 2}) {
+    std::vector<unsigned char> older = image;
+    older[snapshot::kMagicBytes] = old;
+    expect_rejects([&] { snapshot::decode(older); },
+                   "unsupported version " + std::to_string(old) +
+                       " (reader knows 3)");
+  }
 }
 
 TEST(SnapshotFormat, RejectsPayloadCountDisagreement) {
@@ -638,7 +644,7 @@ TEST(SnapshotRestore, RejectsRemapperSlotsSharingABusyId) {
   // lookup() scans the slots for the first busy one holding an ID, so
   // two busy slots of one ID would hide the second; the load refuses.
   const std::unique_ptr<soc::Soc> soc = soc::SocBuilder::build(fixture_desc());
-  tmu::IdRemapper& remap = soc->get<tmu::Tmu>("tmu").write_guard().remapper();
+  axi::IdRemapper& remap = soc->get<tmu::Tmu>("tmu").write_guard().remapper();
   ASSERT_EQ(remap.admit(0xBEEF), 0);
   ASSERT_EQ(remap.admit(0xBEE0), 1);
   const Snapshot clean = snapshot::capture(*soc);
@@ -656,7 +662,7 @@ TEST(SnapshotRestore, RejectsRemapperSlotsSharingABusyId) {
   // The unpatched image restores both mappings.
   const std::unique_ptr<soc::Soc> forked =
       snapshot::fork(clean, fixture_desc());
-  const tmu::IdRemapper& got =
+  const axi::IdRemapper& got =
       forked->get<tmu::Tmu>("tmu").write_guard().remapper();
   EXPECT_EQ(got.lookup(0xBEEF), 0);
   EXPECT_EQ(got.lookup(0xBEE0), 1);

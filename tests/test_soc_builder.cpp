@@ -356,6 +356,29 @@ TEST(SocBuilderValidation, BridgeConfigConsistency) {
   expect_invalid(d4, "cluster 'cl' bridge has fifo_depth 0");
 }
 
+// tIDs are 8 bits: a remapping bridge has at most 256 slots. The nested
+// id_shift is wide enough for 257 tIDs, so only the cap is at fault.
+TEST(SocBuilderValidation, BridgeRemapsAtMost256Ids) {
+  SocDesc d = nested_desc();
+  d.subordinates[1].cluster[0].id_shift = 16;
+  d.subordinates[1].cluster[0].bridge.id_remap = true;
+  d.subordinates[1].cluster[0].bridge.max_ids = 256;
+  EXPECT_NO_THROW(SocBuilder::validate(d));
+  d.subordinates[1].cluster[0].bridge.max_ids = 257;
+  expect_invalid(d, "cluster 'cl' bridge remaps IDs with max_ids 257 above "
+                    "256 (tIDs are 8 bits)");
+}
+
+// A guard's TMU remaps through the same 8-bit tIDs.
+TEST(SocBuilderValidation, GuardRemapsAtMost256Ids) {
+  tmu::TmuConfig cfg;
+  cfg.max_uniq_ids = 256;
+  EXPECT_NO_THROW(SocBuilder::validate(soc::ip_testbench_desc(cfg)));
+  cfg.max_uniq_ids = 257;
+  expect_invalid(soc::ip_testbench_desc(cfg),
+                 "guard 'tmu' max_uniq_ids 257 above 256 (tIDs are 8 bits)");
+}
+
 TEST(SocBuilderValidation, NestedIdShiftMustClearIncomingIdWidth) {
   // Root emits id_shift(8) + 0 manager bits = 8-bit IDs; a 6-bit nested
   // shift would corrupt response de-prefixing.

@@ -2,11 +2,11 @@
 
 #include <stdexcept>
 
-#include "tmu/id_remap.hpp"
+#include "axi/id_remap.hpp"
 
 namespace {
 
-using tmu::IdRemapper;
+using axi::IdRemapper;
 
 TEST(IdRemap, AllocatesCompactTids) {
   IdRemapper r(4);

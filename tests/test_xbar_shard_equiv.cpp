@@ -10,25 +10,13 @@
 //
 // A trace::Recorder on every external link captures the
 // tmu-axi-trace-v1 stream, and each scenario pins one fnv1a64 digest
-// per link. The digests are the crossbar's only oracle, so a full run
-// also fails for every pinned key that no scenario checked: a scenario
-// that is deleted or returns early stops guarding its links loudly. A
-// run under --gtest_filter skips that check. Setting
-// TMU_XBAR_GOLDENS_OUT=<dir> also writes this run's digests to
-// <dir>/hashes.txt (the comparison still runs), which is how a
-// deliberate behaviour change re-pins them; run the whole binary so
-// that every scenario contributes.
+// per link through tests/goldens.hpp, which also says how a full run
+// guards against unchecked keys and how TMU_GOLDENS_OUT re-pins them.
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -39,12 +27,11 @@
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
 #include "fault/injector.hpp"
-#include "sim/bytes.hpp"
+#include "goldens.hpp"
 #include "sim/kernel.hpp"
 #include "sim/logger.hpp"
 #include "sim/random.hpp"
 #include "sim/state.hpp"
-#include "trace/format.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
@@ -59,82 +46,7 @@ const bool g_quiet = [] {
   return true;
 }();
 
-// ---------------------------------------------------------------------------
-// Golden link digests
-// ---------------------------------------------------------------------------
-
-const std::string kGoldenFile =
-    std::string(TMU_TEST_DATA_DIR) + "/xbar_goldens/hashes.txt";
-
-/// The pinned digests, and every digest this run produced (in order,
-/// for re-pinning).
-class Goldens {
- public:
-  static Goldens& get() {
-    static Goldens g;
-    return g;
-  }
-
-  /// Expects one link's `digest` to equal the digest pinned under `key`.
-  void check(const std::string& key, std::uint64_t digest) {
-    seen_.emplace_back(key, digest);
-    const auto it = pinned_.find(key);
-    if (it == pinned_.end()) {
-      ADD_FAILURE() << key << ": no pinned digest in " << kGoldenFile;
-      return;
-    }
-    EXPECT_EQ(digest, it->second) << key << ": digest moved";
-  }
-
-  /// Fails for every pinned key that no check() named.
-  void expect_all_checked() const {
-    std::set<std::string> checked;
-    for (const auto& kv : seen_) checked.insert(kv.first);
-    for (const auto& kv : pinned_) {
-      if (checked.count(kv.first) == 0) {
-        ADD_FAILURE() << kv.first << ": pinned in " << kGoldenFile
-                      << " but never checked";
-      }
-    }
-  }
-
-  void write(const std::string& dir) const {
-    std::ofstream out(dir + "/hashes.txt", std::ios::binary);
-    for (const auto& [key, digest] : seen_) {
-      char hex[17];
-      std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
-      out << key << ' ' << hex << '\n';
-    }
-  }
-
- private:
-  Goldens() {
-    std::ifstream in(kGoldenFile);
-    std::string key, hex;
-    while (in >> key >> hex) {
-      pinned_[key] = std::strtoull(hex.c_str(), nullptr, 16);
-    }
-  }
-
-  std::map<std::string, std::uint64_t> pinned_;
-  std::vector<std::pair<std::string, std::uint64_t>> seen_;
-};
-
-/// After the last test: re-pins on request, and in a full run checks
-/// that every pinned digest was compared.
-class GoldenFinish : public ::testing::Environment {
- public:
-  void TearDown() override {
-    if (const char* dir = std::getenv("TMU_XBAR_GOLDENS_OUT")) {
-      Goldens::get().write(dir);
-    }
-    if (::testing::GTEST_FLAG(filter) == "*") {
-      Goldens::get().expect_all_checked();
-    }
-  }
-};
-::testing::Environment* const g_finish =
-    ::testing::AddGlobalTestEnvironment(new GoldenFinish);
+goldens::Goldens g_goldens("xbar_goldens");
 
 // ---------------------------------------------------------------------------
 // Netlist
@@ -330,9 +242,7 @@ struct XbarNet {
   std::vector<std::pair<std::string, std::uint64_t>> digests() const {
     std::vector<std::pair<std::string, std::uint64_t>> out;
     for (const auto& r : recs) {
-      EXPECT_EQ(r->drop_count(), 0u) << r->buffer().link;
-      out.emplace_back(r->buffer().link,
-                       sim::bytes::fnv1a64(trace::encode_trace(r->buffer())));
+      out.emplace_back(r->buffer().link, goldens::trace_digest(*r));
     }
     return out;
   }
@@ -364,7 +274,7 @@ void expect_wires_equal(const XbarNet& a, const XbarNet& b,
 /// Checks every link digest of the scenario against the goldens.
 void check_goldens(const std::string& scenario, const XbarNet& net) {
   for (const auto& [link, digest] : net.digests()) {
-    Goldens::get().check(scenario + "/" + link, digest);
+    g_goldens.check(scenario + "/" + link, digest);
   }
 }
 
