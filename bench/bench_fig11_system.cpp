@@ -14,11 +14,11 @@
 
 #include "bench_util.hpp"
 #include "sim/logger.hpp"
-#include "soc/cheshire.hpp"
+#include "soc/builder.hpp"
+#include "soc/topologies.hpp"
 
 using fault::FaultPoint;
 using soc::CheshireMap;
-using soc::CheshireSystem;
 using tmu::Variant;
 
 namespace {
@@ -65,19 +65,19 @@ struct Result {
 };
 
 Result run_stage(Variant v, const Stage& st) {
-  CheshireSystem sys(fig11_cfg(v));
+  const auto sys = soc::SocBuilder::build(soc::cheshire_desc(fig11_cfg(v)));
   // Ethernet fast enough to sink 250 beats back-to-back: the data phase
   // is bounded by the bus, exactly as in the paper's stress setup.
-  auto& inj = fault::is_manager_side(st.point) ? sys.mgr_side_injector()
-                                               : sys.eth_side_injector();
-  inj.arm(st.point, 0, st.after_beats);
-  sys.idma().push(axi::TxnDesc{true, 2, CheshireMap::kEthTxWindow, 249, 3,
-                               axi::Burst::kIncr});
+  const char* inj = fault::is_manager_side(st.point) ? "inj_m" : "inj_s";
+  sys->get<fault::FaultInjector>(inj).arm(st.point, 0, st.after_beats);
+  sys->get<axi::TrafficGenerator>("idma").push(axi::TxnDesc{
+      true, 2, CheshireMap::kEthTxWindow, 249, 3, axi::Burst::kIncr});
+  const tmu::Tmu& tmu = sys->get<tmu::Tmu>("tmu");
   Result r;
-  if (!sys.sim().run_until([&] { return sys.tmu().any_fault(); }, 8000)) {
+  if (!sys->sim().run_until([&] { return tmu.any_fault(); }, 8000)) {
     return r;
   }
-  const auto& f = sys.tmu().fault_log().front();
+  const auto& f = tmu.fault_log().front();
   r.detected = true;
   r.detect_cycle = f.cycle;
   r.elapsed = f.elapsed;

@@ -11,12 +11,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "area/area_model.hpp"
 #include "bench_util.hpp"
 #include "sim/logger.hpp"
-#include "soc/cheshire.hpp"
+#include "soc/builder.hpp"
+#include "soc/topologies.hpp"
 
 namespace {
 
@@ -27,7 +29,7 @@ SchedPolicy policy_arg(const benchmark::State& state) {
                              : SchedPolicy::kEventDriven;
 }
 
-void set_policy_label(benchmark::State& state) {
+void label_policy(benchmark::State& state) {
   state.SetLabel(sim::sched::to_string(policy_arg(state)));
 }
 
@@ -48,16 +50,32 @@ axi::RandomTrafficConfig dram_traffic() {
   return rc;
 }
 
+/// The Cheshire SoC with adaptive budgets under `policy`, the CVA6
+/// stand-ins driving DRAM traffic unless `idle`.
+std::unique_ptr<soc::Soc> cheshire(SchedPolicy policy, bool idle) {
+  tmu::TmuConfig cfg;
+  cfg.adaptive.enabled = true;
+  soc::SocDesc d = soc::cheshire_desc(cfg);
+  d.policy = policy;
+  std::unique_ptr<soc::Soc> sys = soc::SocBuilder::build(d);
+  if (!idle) {
+    sys->get<axi::TrafficGenerator>("cva6_0").set_random(dram_traffic());
+    sys->get<axi::TrafficGenerator>("cva6_1").set_random(dram_traffic());
+  }
+  return sys;
+}
+
 void BM_IpLevelSim(benchmark::State& state) {
   tmu::TmuConfig cfg;
   cfg.adaptive.enabled = true;
-  bench::IpBench b(cfg);
-  b.s.set_policy(policy_arg(state));
+  soc::SocDesc d = soc::ip_testbench_desc(cfg);
+  d.policy = policy_arg(state);
+  bench::IpBench b(d);
   b.gen.set_random(ip_traffic());
   for (auto _ : state) {
     b.s.run(100);
   }
-  set_policy_label(state);
+  label_policy(state);
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 100.0,
       benchmark::Counter::kIsRate);
@@ -67,16 +85,11 @@ BENCHMARK(BM_IpLevelSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 void BM_SystemLevelSim(benchmark::State& state) {
-  tmu::TmuConfig cfg;
-  cfg.adaptive.enabled = true;
-  soc::CheshireSystem sys(cfg);
-  sys.sim().set_policy(policy_arg(state));
-  sys.cva6_0().set_random(dram_traffic());
-  sys.cva6_1().set_random(dram_traffic());
+  const auto sys = cheshire(policy_arg(state), /*idle=*/false);
   for (auto _ : state) {
-    sys.sim().run(100);
+    sys->sim().run(100);
   }
-  set_policy_label(state);
+  label_policy(state);
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 100.0,
       benchmark::Counter::kIsRate);
@@ -87,20 +100,17 @@ BENCHMARK(BM_SystemLevelSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond)
 // The idle-heavy workload: the full SoC with no traffic at all — pure
 // timeout monitoring, which is what the TMU does for most of its life.
 void BM_SystemIdleSim(benchmark::State& state) {
-  tmu::TmuConfig cfg;
-  cfg.adaptive.enabled = true;
-  soc::CheshireSystem sys(cfg);
-  sys.sim().set_policy(policy_arg(state));
+  const auto sys = cheshire(policy_arg(state), /*idle=*/true);
   for (auto _ : state) {
-    sys.sim().run(100);
+    sys->sim().run(100);
   }
-  set_policy_label(state);
+  label_policy(state);
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 100.0,
       benchmark::Counter::kIsRate);
   state.counters["module_evals/cycle"] =
-      static_cast<double>(sys.sim().module_evals()) /
-      static_cast<double>(sys.sim().cycle());
+      static_cast<double>(sys->sim().module_evals()) /
+      static_cast<double>(sys->sim().cycle());
 }
 BENCHMARK(BM_SystemIdleSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
@@ -120,16 +130,9 @@ BENCHMARK(BM_AreaModelEval);
 
 double measure_system_rate(SchedPolicy policy, bool idle,
                            std::uint64_t cycles) {
-  tmu::TmuConfig cfg;
-  cfg.adaptive.enabled = true;
-  soc::CheshireSystem sys(cfg);
-  sys.sim().set_policy(policy);
-  if (!idle) {
-    sys.cva6_0().set_random(dram_traffic());
-    sys.cva6_1().set_random(dram_traffic());
-  }
+  const auto sys = cheshire(policy, idle);
   const auto t0 = std::chrono::steady_clock::now();
-  sys.sim().run(cycles);
+  sys->sim().run(cycles);
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   return static_cast<double>(cycles) / dt.count();

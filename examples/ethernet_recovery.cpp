@@ -8,7 +8,12 @@
 
 #include <cstdio>
 
-#include "soc/cheshire.hpp"
+#include "axi/traffic_gen.hpp"
+#include "fault/injector.hpp"
+#include "soc/builder.hpp"
+#include "soc/cpu_stub.hpp"
+#include "soc/topologies.hpp"
+#include "tmu/tmu.hpp"
 
 int main() {
   using namespace axi;
@@ -25,7 +30,14 @@ int main() {
   cfg.max_txn_cycles = 320;
   cfg.adaptive.enabled = false;
 
-  soc::CheshireSystem sys(cfg);
+  const auto sys = soc::SocBuilder::build(soc::cheshire_desc(cfg));
+  sim::Simulator& sim = sys->sim();
+  auto& cva6_0 = sys->get<TrafficGenerator>("cva6_0");
+  auto& idma = sys->get<TrafficGenerator>("idma");
+  auto& inj_s = sys->get<fault::FaultInjector>("inj_s");
+  auto& eth_tmu = sys->get<tmu::Tmu>("tmu");
+  auto& ethernet = sys->get<soc::EthernetPeripheral>("ethernet");
+  auto& cpu = sys->get<soc::CpuRecoveryStub>("cva6_irq_handler");
 
   // Background traffic on the rest of the SoC.
   RandomTrafficConfig rc;
@@ -33,40 +45,36 @@ int main() {
   rc.p_new_txn = 0.1;
   rc.addr_min = CheshireMap::kDramBase;
   rc.addr_max = CheshireMap::kDramBase + 0xFF00;
-  sys.cva6_0().set_random(rc);
+  cva6_0.set_random(rc);
 
   // The iDMA streams a 250-beat frame into the Ethernet TX window; the
   // MAC stalls mid-frame (w_ready stuck after 125 beats).
-  sys.eth_side_injector().arm(fault::FaultPoint::kMidBurstWStall, 0, 125);
-  sys.idma().push(TxnDesc{true, 2, CheshireMap::kEthTxWindow, 249, 3,
-                          Burst::kIncr});
+  inj_s.arm(fault::FaultPoint::kMidBurstWStall, 0, 125);
+  idma.push(TxnDesc{true, 2, CheshireMap::kEthTxWindow, 249, 3, Burst::kIncr});
 
-  sys.sim().run_until([&] { return sys.tmu().any_fault(); }, 5000);
-  const auto& f = sys.tmu().fault_log().front();
+  sim.run_until([&] { return eth_tmu.any_fault(); }, 5000);
+  const auto& f = eth_tmu.fault_log().front();
   std::printf("t=%-6llu TMU detected: %s\n",
               static_cast<unsigned long long>(f.cycle), f.describe().c_str());
 
-  sys.sim().run_until(
-      [&] { return !sys.tmu().severed() && sys.cpu().irqs_handled() >= 1; },
-      3000);
+  sim.run_until([&] { return !eth_tmu.severed() && cpu.irqs_handled() >= 1; },
+                3000);
   std::printf("t=%-6llu recovered: ethernet hw resets=%llu, CPU handled "
               "%llu irq(s), read %llu fault record(s)\n",
-              static_cast<unsigned long long>(sys.sim().cycle()),
-              static_cast<unsigned long long>(sys.ethernet().hw_resets()),
-              static_cast<unsigned long long>(sys.cpu().irqs_handled()),
-              static_cast<unsigned long long>(sys.cpu().faults_read()));
+              static_cast<unsigned long long>(sim.cycle()),
+              static_cast<unsigned long long>(ethernet.hw_resets()),
+              static_cast<unsigned long long>(cpu.irqs_handled()),
+              static_cast<unsigned long long>(cpu.faults_read()));
 
   // Ethernet is functional again; DRAM traffic never stopped.
-  sys.eth_side_injector().disarm();
-  const auto before = sys.ethernet().frames_txed();
-  sys.idma().push(TxnDesc{true, 2, CheshireMap::kEthTxWindow, 63, 3,
-                          Burst::kIncr});
-  sys.sim().run_until([&] { return sys.ethernet().frames_txed() >= before + 64; },
-                      3000);
+  inj_s.disarm();
+  const auto before = ethernet.frames_txed();
+  idma.push(TxnDesc{true, 2, CheshireMap::kEthTxWindow, 63, 3, Burst::kIncr});
+  sim.run_until([&] { return ethernet.frames_txed() >= before + 64; }, 3000);
   std::printf("t=%-6llu ethernet alive again: %llu beats on the wire; "
               "CVA6 completed %zu DRAM transactions throughout\n",
-              static_cast<unsigned long long>(sys.sim().cycle()),
-              static_cast<unsigned long long>(sys.ethernet().frames_txed()),
-              sys.cva6_0().completed());
+              static_cast<unsigned long long>(sim.cycle()),
+              static_cast<unsigned long long>(ethernet.frames_txed()),
+              cva6_0.completed());
   return 0;
 }

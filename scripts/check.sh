@@ -29,11 +29,11 @@ echo "check.sh: event-driven vs full-sweep equivalence OK"
 
 # Crossbar gate: the sharded crossbar must reproduce every link-trace
 # digest pinned in tests/data/xbar_goldens/hashes.txt (fuzz incl.
-# injected faults, DECERR traffic, busy->idle->busy transitions, policy
-# toggling, crossbars wider than 64 ports, responses meeting across the
-# port-64 mask word boundary and a reset mid-traffic), every pinned
-# digest must be checked, and a mid-burst restore must run wire-exact
-# with the uninterrupted netlist.
+# injected faults, DECERR traffic, busy->idle->busy transitions, both
+# scheduler policies, crossbars wider than 64 ports, responses meeting
+# across the port-64 mask word boundary and a reset mid-traffic), every
+# pinned digest must be checked, and a mid-burst restore must run
+# wire-exact with the uninterrupted netlist.
 ./build/test_xbar_shard_equiv --gtest_brief=1
 echo "check.sh: sharded crossbar vs pinned xbar_goldens OK"
 

@@ -70,10 +70,14 @@ void apply_traffic_and_warm(const TrialSpec& spec, soc::Soc& soc) {
 }
 
 /// The warm-up sharing key: the spec with every per-trial field
-/// neutralized. Two specs with equal keys run the identical warm-up
-/// phase on the identical netlist, so one snapshot serves both.
-TrialSpec warmup_key_of(const TrialSpec& spec) {
-  TrialSpec key = spec;
+/// neutralized, written over `key`, whose storage a worker reuses so a
+/// lookup allocates nothing once `key` has held a spec of the same
+/// shape. Two specs with equal keys run the identical warm-up phase on
+/// the identical netlist, so one snapshot serves both; a field not
+/// neutralized here separates groups, so a new field never merges two
+/// warm-ups.
+void assign_warmup_key(TrialSpec& key, const TrialSpec& spec) {
+  key = spec;
   key.seed = 0;
   key.point = fault::FaultPoint::kNone;
   key.inject_delay_max = 0;
@@ -81,7 +85,6 @@ TrialSpec warmup_key_of(const TrialSpec& spec) {
   key.soak_cycles = 0;
   key.max_cycles = 0;
   key.exercise_recovery = false;
-  return key;
 }
 
 }  // namespace
@@ -232,7 +235,8 @@ TrialFn make_forking_trial_fn() {
   return [cache](const TrialSpec& spec) -> TrialResult {
     if (spec.warmup_cycles == 0) return run_fault_trial(spec);
 
-    const TrialSpec key = warmup_key_of(spec);
+    thread_local TrialSpec key;
+    assign_warmup_key(key, spec);
     // Only the group's producer fulfils a promise; the others wait.
     std::optional<std::promise<std::shared_ptr<const snapshot::Snapshot>>>
         mine;

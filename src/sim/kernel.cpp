@@ -57,8 +57,8 @@ void Simulator::settle_full_sweep() {
 }
 
 bool Simulator::needs_full_invalidation() const {
-  // Reset, late add(), invalidate_settle() or a policy switch: register
-  // state may have changed behind the wires' backs. Ambient writes can't
+  // Reset, late add() or invalidate_settle(): register state may have
+  // changed behind the wires' backs. Ambient writes can't
   // name the wires they touched, and unattributed changes can't name a
   // module.
   return !settled_ || ambient_epoch() != settled_ambient_epoch_ ||

@@ -100,16 +100,7 @@ class Simulator {
     cycle_callbacks_.push_back(std::move(cb));
   }
 
-  /// Switches the settle scheduling policy. Safe at any point between
-  /// cycles; the next settle() conservatively re-evaluates everything,
-  /// and every sleeping module wakes.
-  void set_policy(sched::SchedPolicy p) {
-    if (p != policy_) {
-      policy_ = p;
-      settled_ = false;
-      sched_.wake_all();
-    }
-  }
+  /// The settle scheduling policy, fixed at construction.
   sched::SchedPolicy policy() const { return policy_; }
 
   /// Synchronously resets all modules and the cycle counter.
@@ -220,7 +211,7 @@ class Simulator {
   // ~EventScheduler always sees a live context. Counts sleepers' skipped
   // ticks against cycle_.
   sched::EventScheduler sched_{*ctx_, cycle_};
-  sched::SchedPolicy policy_;
+  const sched::SchedPolicy policy_;
   std::uint64_t eval_passes_ = 0;
   std::uint64_t module_evals_ = 0;
   std::uint64_t settled_ambient_epoch_ = 0;

@@ -161,8 +161,7 @@ class Module {
   /// false). The kernel then skips the module's tick() and post-edge
   /// query until a declared tick input (visit_inputs) changes value, the
   /// module is notified or woken, or the kernel invalidates everything
-  /// (reset, restore, policy switch, ambient testbench write,
-  /// invalidate_settle()). On wake it first calls skip_ticks() with the
+  /// (reset, restore, ambient testbench write, invalidate_settle()). On wake it first calls skip_ticks() with the
   /// number of ticks skipped. A module that sets the report must set it
   /// on every tick() path; modules that never set it tick every cycle.
   void set_tick_idle(bool idle) { tick_idle_ = idle; }

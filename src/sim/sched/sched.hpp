@@ -101,9 +101,9 @@ class EventScheduler final : public ChangeSink,
   /// registered under, or kNoIndex.
   bool register_module(Module& m, std::uint32_t owner);
 
-  /// Enqueues every combinational module (resets, external writes,
-  /// policy switches — anything that can change state behind the wires'
-  /// backs and can't name the affected modules).
+  /// Enqueues every combinational module (resets, external writes —
+  /// anything that can change state behind the wires' backs and can't
+  /// name the affected modules).
   void mark_all_dirty();
 
   bool has_dirty() const { return head_ != queue_.size(); }
@@ -145,8 +145,8 @@ class EventScheduler final : public ChangeSink,
   /// Brings every sleeper's skipped ticks up to date; they stay asleep.
   void catch_up_all();
   /// Catches up and wakes every sleeper (the kernel's invalidate-all
-  /// paths: reset, restore, policy switch, ambient writes, unattributed
-  /// changes, invalidate_settle()).
+  /// paths: reset, restore, ambient writes, unattributed changes,
+  /// invalidate_settle()).
   void wake_all();
 
   /// Per-module profiling (default on): eval counts, wake causes and

@@ -120,8 +120,11 @@ class Soc {
 };
 
 /// Elaborates SocDesc netlists. The single way the repo constructs SoC
-/// topologies: CheshireSystem, the grid-scaling bench, the campaign
-/// fault trials and the examples all build through here.
+/// topologies: build(desc) returns the netlist and Soc::get<T>(name)
+/// reaches its blocks. The desc, its SchedPolicy included, is the
+/// netlist's whole configuration; the topology helpers
+/// (soc/topologies.hpp) return descs to copy and edit, and the
+/// examples, benches and campaign fault trials all build through here.
 class SocBuilder {
  public:
   /// Structural validation: duplicate block names, dangling guard

@@ -17,6 +17,13 @@ namespace soc {
 /// log through the TMU register file, clears the interrupt and counts
 /// the event. One stub can service several TMUs via the PLIC-lite.
 ///
+/// The handler completes its PLIC claim one edge after its IrqClear
+/// write, the order firmware issues the two writes in. The cleared line
+/// drops at the settle that follows the write, so by the completion it
+/// is low, and a PLIC ticking after the stub at the completing edge
+/// cannot latch the interrupt just handled a second time. A line still
+/// high then (a new fault) latches at that edge or the next.
+///
 /// Tick gating: idle with nothing to claim, the stub sleeps, and the
 /// PLIC wakes it when a source latches (IrqController::on_latch). The
 /// PLIC's source wires would not do as tick inputs: a stub registered
@@ -40,35 +47,34 @@ class CpuRecoveryStub : public sim::Module {
   bool is_combinational() const override { return false; }
 
   void tick() override {
-    // An empty claim changes nothing, so until the PLIC latches a source
-    // every tick repeats it: asleep, skip_ticks() has nothing to catch
-    // up.
     set_tick_idle(false);
-    switch (state_) {
-      case State::kIdle: {
-        const int src = plic_.claim();
-        if (src >= 0) {
-          current_ = static_cast<std::size_t>(src);
-          count_ = 0;
-          state_ = State::kHandling;
-        } else {
-          set_tick_idle(true);
+    if (state_ == State::kHandling) {
+      if (++count_ >= handler_latency_) {
+        tmu::Tmu* t = tmus_[current_];
+        // Drain the fault FIFO the way firmware would.
+        while (t->read_reg(tmu::regs::kFaultInfo) != 0) {
+          ++faults_read_;
         }
-        break;
+        t->write_reg(tmu::regs::kIrqClear, 1);
+        ++irqs_handled_;
+        state_ = State::kCompleting;
       }
-      case State::kHandling:
-        if (++count_ >= handler_latency_) {
-          tmu::Tmu* t = tmus_[current_];
-          // Drain the fault FIFO the way firmware would.
-          while (t->read_reg(tmu::regs::kFaultInfo) != 0) {
-            ++faults_read_;
-          }
-          t->write_reg(tmu::regs::kIrqClear, 1);
-          plic_.complete(current_);
-          ++irqs_handled_;
-          state_ = State::kIdle;
-        }
-        break;
+      return;
+    }
+    if (state_ == State::kCompleting) {
+      plic_.complete(current_);
+      state_ = State::kIdle;
+    }
+    const int src = plic_.claim();
+    if (src >= 0) {
+      current_ = static_cast<std::size_t>(src);
+      count_ = 0;
+      state_ = State::kHandling;
+    } else {
+      // An empty claim changes nothing, so until the PLIC latches a
+      // source every tick repeats it: asleep, skip_ticks() has nothing
+      // to catch up.
+      set_tick_idle(true);
     }
   }
 
@@ -92,7 +98,7 @@ class CpuRecoveryStub : public sim::Module {
   }
 
  private:
-  enum class State { kIdle, kHandling };
+  enum class State { kIdle, kHandling, kCompleting };
 
   IrqController& plic_;
   std::vector<tmu::Tmu*> tmus_;

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "soc/cheshire.hpp"
-
 namespace soc {
 
 tmu::TmuConfig periph_tc_config() {

@@ -5,14 +5,34 @@
 
 namespace soc {
 
-/// The paper's system-level testbed (Fig. 10) as data: two CVA6
-/// stand-ins, a traffic-gen iDMA stand-in and the descriptor-based DMA
-/// engine drive the crossbar; the LLC/DRAM, the generic peripheral and
-/// the monitored Ethernet IP hang off it. A Full-Counter-class TMU
-/// ("tmu", injectors "inj_m"/"inj_s", reset unit "reset_unit") guards
-/// the Ethernet endpoint, a Tiny-Counter TMU ("periph_tmu") guards the
-/// peripheral, and the PLIC-lite + CVA6 recovery stub close the loop.
-/// CheshireSystem is a facade over exactly this desc.
+/// Address map of the Cheshire-like system (Fig. 10).
+struct CheshireMap {
+  static constexpr axi::Addr kDramBase = 0x8000'0000;
+  static constexpr axi::Addr kDramSize = 0x0010'0000;
+  static constexpr axi::Addr kEthBase = 0x0300'0000;
+  static constexpr axi::Addr kEthSize = 0x0001'0000;
+  static constexpr axi::Addr kPeriphBase = 0x0400'0000;
+  static constexpr axi::Addr kPeriphSize = 0x0001'0000;
+  /// First TX-window address of the Ethernet IP (past its MMIO page).
+  static constexpr axi::Addr kEthTxWindow = kEthBase + 0x1000;
+};
+
+/// The paper's system-level testbed (Fig. 10) as data, elaborated with
+/// SocBuilder::build() and addressed with Soc::get<T>(name):
+///  * managers "cva6_0" and "cva6_1" (CVA6 stand-ins) and "idma"
+///    (axi::TrafficGenerator), and the descriptor-based DMA engine
+///    "dma_engine" (IdmaEngine), drive the crossbar "xbar";
+///  * subordinates "dram" (axi::MemorySubordinate behind the
+///    LastLevelCache "llc"), "ethernet" (EthernetPeripheral) and
+///    "periph" (axi::MemorySubordinate), at the CheshireMap windows;
+///  * a Full-Counter-class tmu::Tmu "tmu" guards the Ethernet endpoint,
+///    between fault::FaultInjectors "inj_m" (manager side) and "inj_s"
+///    (subordinate side), with ResetUnit "reset_unit";
+///  * a Tiny-Counter tmu::Tmu "periph_tmu" (periph_tc_config()) guards
+///    the peripheral, with injector "periph_inj" on its subordinate side
+///    and ResetUnit "periph_reset_unit";
+///  * the PLIC-lite "plic" (IrqController) and the CVA6 recovery stub
+///    "cva6_irq_handler" (CpuRecoveryStub) close the recovery loop.
 SocDesc cheshire_desc(const tmu::TmuConfig& tmu_cfg,
                       const EthernetConfig& eth_cfg = {});
 

@@ -20,6 +20,7 @@
 #include "sim/kernel.hpp"
 #include "sim/state.hpp"
 #include "soc/builder.hpp"
+#include "state_bytes.hpp"
 
 namespace {
 
@@ -219,19 +220,6 @@ TEST(AxiBridge, IdRemapperSaturationStallsWithoutDeadlock) {
   EXPECT_EQ(f.gen.error_responses(), 0u);
 }
 
-struct SaveBytes final : sim::StateVisitor {
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-struct LoadBytes final : sim::StateVisitor {
-  using StateVisitor::StateVisitor;
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::runtime_error(msg);
-  }
-};
-
 // The remapper finds a busy ID's tID by scanning its slots, so two busy
 // slots holding one ID would hide the second: a restore refuses them.
 TEST(AxiBridge, RestoreRejectsTwoBusySlotsOfOneId) {
@@ -244,9 +232,7 @@ TEST(AxiBridge, RestoreRejectsTwoBusySlotsOfOneId) {
   f.gen.push(TxnDesc{true, 0x77, 0x1040, 0, 3, Burst::kIncr});
   f.s.run(10);
   ASSERT_EQ(f.bridge.active_write_ids(), 2u);
-  SaveBytes save;
-  f.bridge.visit_state(save);
-  std::vector<unsigned char> image = save.take_bytes();
+  std::vector<unsigned char> image = state_bytes::state_of(f.bridge);
   // The write slots as the walk writes them: ID, then outstanding count.
   const std::uint32_t fields[] = {0x55, 1, 0x77, 1};
   std::vector<unsigned char> slots(sizeof(fields));
@@ -259,7 +245,7 @@ TEST(AxiBridge, RestoreRejectsTwoBusySlotsOfOneId) {
   sim::bytes::store_le(&at[8], std::uint32_t{0x55});
 
   BridgeFixture g(cfg);
-  LoadBytes load(image.data(), image.size());
+  state_bytes::LoadBytes load(image);
   try {
     g.bridge.visit_state(load);
     ADD_FAILURE() << "two busy slots of ID 0x55 were restored";

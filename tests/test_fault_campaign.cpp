@@ -13,7 +13,6 @@
 
 #include "campaign/campaign.hpp"
 #include "sim/logger.hpp"
-#include "soc/cheshire.hpp"
 #include "soc/topologies.hpp"
 #include "tmu/config.hpp"
 

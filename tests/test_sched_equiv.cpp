@@ -23,9 +23,10 @@
 #include "sim/state.hpp"
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
+#include "soc/cpu_stub.hpp"
 #include "soc/reset_unit.hpp"
 #include "soc/topologies.hpp"
+#include "state_bytes.hpp"
 #include "tmu/tmu.hpp"
 
 namespace {
@@ -180,6 +181,24 @@ TEST(SchedEquiv, IpLevelLockstepFuzz) {
   }
 }
 
+// The Cheshire blocks the lockstep below drives and compares, by desc
+// name.
+struct CheshireNet {
+  std::unique_ptr<soc::Soc> soc;
+  axi::TrafficGenerator& cva6_0 = soc->get<axi::TrafficGenerator>("cva6_0");
+  axi::TrafficGenerator& cva6_1 = soc->get<axi::TrafficGenerator>("cva6_1");
+  axi::TrafficGenerator& idma = soc->get<axi::TrafficGenerator>("idma");
+  fault::FaultInjector& inj_s = soc->get<fault::FaultInjector>("inj_s");
+  fault::FaultInjector& periph_inj =
+      soc->get<fault::FaultInjector>("periph_inj");
+  tmu::Tmu& tmu = soc->get<tmu::Tmu>("tmu");
+  tmu::Tmu& periph_tmu = soc->get<tmu::Tmu>("periph_tmu");
+  soc::CpuRecoveryStub& cpu =
+      soc->get<soc::CpuRecoveryStub>("cva6_irq_handler");
+
+  sim::Simulator& sim() { return soc->sim(); }
+};
+
 // Full-SoC lockstep: the paper's Cheshire-style system (two CVA6
 // stand-ins, iDMA, crossbar, LLC/DRAM, two TMUs, injectors, reset
 // units, PLIC, CPU recovery stub) under both policies, including a
@@ -187,19 +206,19 @@ TEST(SchedEquiv, IpLevelLockstepFuzz) {
 TEST(SchedEquiv, CheshireSocLockstepWithFaultCampaign) {
   tmu::TmuConfig cfg;
   cfg.adaptive.enabled = true;
-
-  soc::CheshireSystem full(cfg);
-  soc::CheshireSystem event(cfg);
-  full.sim().set_policy(SchedPolicy::kFullSweep);
-  event.sim().set_policy(SchedPolicy::kEventDriven);
+  soc::SocDesc d = soc::cheshire_desc(cfg);
+  d.policy = SchedPolicy::kFullSweep;
+  CheshireNet full{soc::SocBuilder::build(d)};
+  d.policy = SchedPolicy::kEventDriven;
+  CheshireNet event{soc::SocBuilder::build(d)};
 
   axi::RandomTrafficConfig rc;
   rc.enabled = true;
   rc.p_new_txn = 0.25;
   rc.addr_min = soc::CheshireMap::kDramBase;
   rc.addr_max = soc::CheshireMap::kDramBase + 0xFFF8;
-  for (soc::CheshireSystem* sys : {&full, &event}) {
-    sys->cva6_0().set_random(rc);
+  for (CheshireNet* sys : {&full, &event}) {
+    sys->cva6_0.set_random(rc);
     // cva6_1 exercises the peripheral so the second (Tiny-Counter) TMU's
     // campaign is hit too.
     axi::RandomTrafficConfig periph_rc = rc;
@@ -207,13 +226,13 @@ TEST(SchedEquiv, CheshireSocLockstepWithFaultCampaign) {
     periph_rc.addr_min = soc::CheshireMap::kPeriphBase;
     periph_rc.addr_max = soc::CheshireMap::kPeriphBase +
                          soc::CheshireMap::kPeriphSize - 8;
-    sys->cva6_1().set_random(periph_rc);
+    sys->cva6_1.set_random(periph_rc);
     axi::RandomTrafficConfig eth_rc = rc;
     eth_rc.p_new_txn = 0.1;
     eth_rc.addr_min = soc::CheshireMap::kEthTxWindow;
     eth_rc.addr_max = soc::CheshireMap::kEthBase +
                       soc::CheshireMap::kEthSize - 8;
-    sys->idma().set_random(eth_rc);
+    sys->idma.set_random(eth_rc);
   }
 
   constexpr std::uint64_t kArmAt = 400;
@@ -221,47 +240,43 @@ TEST(SchedEquiv, CheshireSocLockstepWithFaultCampaign) {
   constexpr std::uint64_t kTotal = 3000;
   for (std::uint64_t c = 0; c < kTotal; ++c) {
     if (c == kArmAt) {
-      full.eth_side_injector().arm(fault::FaultPoint::kBValidStuck, kArmAt);
-      event.eth_side_injector().arm(fault::FaultPoint::kBValidStuck, kArmAt);
-      full.periph_injector().arm(fault::FaultPoint::kArReadyStuck, kArmAt);
-      event.periph_injector().arm(fault::FaultPoint::kArReadyStuck, kArmAt);
+      for (CheshireNet* sys : {&full, &event}) {
+        sys->inj_s.arm(fault::FaultPoint::kBValidStuck, kArmAt);
+        sys->periph_inj.arm(fault::FaultPoint::kArReadyStuck, kArmAt);
+      }
     }
     if (c == kDisarmAt) {
-      full.eth_side_injector().disarm();
-      event.eth_side_injector().disarm();
-      full.periph_injector().disarm();
-      event.periph_injector().disarm();
+      for (CheshireNet* sys : {&full, &event}) {
+        sys->inj_s.disarm();
+        sys->periph_inj.disarm();
+      }
     }
     full.sim().step();
     event.sim().step();
 
     // Reachable wires and campaign-visible state, every cycle.
-    ASSERT_EQ(full.tmu().irq.read(), event.tmu().irq.read()) << "@" << c;
-    ASSERT_EQ(full.tmu().reset_req.read(), event.tmu().reset_req.read())
+    ASSERT_EQ(full.tmu.irq.read(), event.tmu.irq.read()) << "@" << c;
+    ASSERT_EQ(full.tmu.reset_req.read(), event.tmu.reset_req.read())
         << "@" << c;
-    ASSERT_EQ(full.periph_tmu().irq.read(), event.periph_tmu().irq.read())
+    ASSERT_EQ(full.periph_tmu.irq.read(), event.periph_tmu.irq.read())
         << "@" << c;
-    ASSERT_EQ(full.tmu().any_fault(), event.tmu().any_fault()) << "@" << c;
-    ASSERT_EQ(full.tmu().recoveries(), event.tmu().recoveries()) << "@" << c;
-    ASSERT_EQ(full.periph_tmu().recoveries(),
-              event.periph_tmu().recoveries())
+    ASSERT_EQ(full.tmu.any_fault(), event.tmu.any_fault()) << "@" << c;
+    ASSERT_EQ(full.tmu.recoveries(), event.tmu.recoveries()) << "@" << c;
+    ASSERT_EQ(full.periph_tmu.recoveries(), event.periph_tmu.recoveries())
         << "@" << c;
-    ASSERT_EQ(full.cva6_0().completed(), event.cva6_0().completed())
-        << "@" << c;
-    ASSERT_EQ(full.cva6_1().completed(), event.cva6_1().completed())
-        << "@" << c;
-    ASSERT_EQ(full.idma().completed(), event.idma().completed()) << "@" << c;
-    ASSERT_EQ(full.cpu().irqs_handled(), event.cpu().irqs_handled())
-        << "@" << c;
+    ASSERT_EQ(full.cva6_0.completed(), event.cva6_0.completed()) << "@" << c;
+    ASSERT_EQ(full.cva6_1.completed(), event.cva6_1.completed()) << "@" << c;
+    ASSERT_EQ(full.idma.completed(), event.idma.completed()) << "@" << c;
+    ASSERT_EQ(full.cpu.irqs_handled(), event.cpu.irqs_handled()) << "@" << c;
   }
 
   // The campaign must actually have exercised detection and recovery —
   // equivalence over an idle run would prove much less.
-  EXPECT_TRUE(full.tmu().any_fault());
-  EXPECT_GE(full.tmu().recoveries(), 1u);
-  EXPECT_TRUE(full.periph_tmu().any_fault());
-  EXPECT_EQ(full.tmu().fault_log().size(), event.tmu().fault_log().size());
-  EXPECT_GT(full.cva6_0().completed(), 0u);
+  EXPECT_TRUE(full.tmu.any_fault());
+  EXPECT_GE(full.tmu.recoveries(), 1u);
+  EXPECT_TRUE(full.periph_tmu.any_fault());
+  EXPECT_EQ(full.tmu.fault_log().size(), event.tmu.fault_log().size());
+  EXPECT_GT(full.cva6_0.completed(), 0u);
 
   // And the event-driven kernel must have earned its keep on eval work.
   EXPECT_LT(event.sim().module_evals(), full.sim().module_evals());
@@ -299,34 +314,6 @@ TEST(SchedEquiv, IdleNetlistSettlesForFree) {
   EXPECT_EQ(ref.gen.completed(), 1u);
 }
 
-// The settled-cache interplay: interleaved settles, notifies and policy
-// switches on the same netlist never desynchronise the two worlds.
-TEST(SchedEquiv, PolicyTogglingMatchesReference) {
-  tmu::TmuConfig cfg;
-  IpNetlist ref(SchedPolicy::kFullSweep, 99, cfg);
-  IpNetlist tog(SchedPolicy::kEventDriven, 99, cfg);
-
-  axi::RandomTrafficConfig rc;
-  rc.enabled = true;
-  rc.p_new_txn = 0.4;
-  ref.gen.set_random(rc);
-  tog.gen.set_random(rc);
-
-  sim::Rng rng(5);
-  for (int chunk = 0; chunk < 40; ++chunk) {
-    const std::uint64_t n = rng.range(1, 25);
-    ref.s.run(n);
-    // Toggle the policy mid-run on the device under test.
-    tog.s.set_policy(chunk % 2 == 0 ? SchedPolicy::kFullSweep
-                                    : SchedPolicy::kEventDriven);
-    tog.s.run(n);
-    ASSERT_EQ(ref.s.cycle(), tog.s.cycle());
-    expect_wires_equal(ref, tog, ref.s.cycle());
-    ASSERT_EQ(ref.gen.completed(), tog.gen.completed());
-    if (::testing::Test::HasFailure()) return;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Tick gating. Under the event-driven policy a module whose tick()
 // reports idle sleeps through clock edges and catches up when woken;
@@ -337,27 +324,14 @@ TEST(SchedEquiv, PolicyTogglingMatchesReference) {
 // must match.
 // ---------------------------------------------------------------------
 
-// A module's visit_state() walk as bytes (save direction only).
-class StateBytes final : public sim::StateVisitor {
- public:
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-std::vector<unsigned char> state_of(sim::Module& m) {
-  StateBytes v;
-  m.visit_state(v);
-  return v.take_bytes();
-}
-
 // Every module's state, registration order (crossbar shards included).
 void expect_modules_equal(const sim::Simulator& ref,
                           const sim::Simulator& dut, const std::string& at) {
   ASSERT_EQ(ref.cycle(), dut.cycle()) << at;
   ASSERT_EQ(ref.modules().size(), dut.modules().size());
   for (std::size_t i = 0; i < ref.modules().size(); ++i) {
-    EXPECT_EQ(state_of(*ref.modules()[i]), state_of(*dut.modules()[i]))
+    EXPECT_EQ(state_bytes::state_of(*ref.modules()[i]),
+              state_bytes::state_of(*dut.modules()[i]))
         << ref.modules()[i]->name() << " diverged " << at;
   }
 }
@@ -652,14 +626,13 @@ TEST(TickGating, CheshirePeripheralTimeoutAndReset) {
       t.ref->get<soc::CpuRecoveryStub>("cva6_irq_handler").irqs_handled(), 1u);
 }
 
-// Between chunks: ambient testbench wire writes, invalidate_settle()
-// and policy toggles on the device under test, around traffic bursts
-// and idle stretches.
-TEST(TickGating, InvalidationsAndPolicyTogglesBetweenChunks) {
+// Between chunks: ambient testbench wire writes and invalidate_settle(),
+// around traffic bursts and idle stretches.
+TEST(TickGating, InvalidationsBetweenChunks) {
   GatedTwin t(idle_cheshire());
   sim::Rng rng(18);
   for (int chunk = 0; chunk < 30 && !::testing::Test::HasFailure(); ++chunk) {
-    switch (chunk % 5) {
+    switch (chunk % 3) {
       case 0:  // a traffic burst into DRAM, the Ethernet IP and the periph
         t.both([&](soc::Soc& s) {
           auto& g0 = s.get<axi::TrafficGenerator>("cva6_0");
@@ -681,14 +654,8 @@ TEST(TickGating, InvalidationsAndPolicyTogglesBetweenChunks) {
       case 2:
         t.both([](soc::Soc& s) { s.sim().invalidate_settle(); });
         break;
-      case 3:
-        t.dut->sim().set_policy(SchedPolicy::kFullSweep);
-        break;
-      case 4:
-        t.dut->sim().set_policy(SchedPolicy::kEventDriven);
-        break;
     }
-    if (chunk % 3 == 0) {
+    if (chunk % 2 == 0) {
       t.step();
       t.step();
     }

@@ -487,18 +487,6 @@ TEST(SimSettleEventDriven, UndeclaredInputDivergesFromFullSweep) {
   EXPECT_EQ(oracle.out.read(), 5);
 }
 
-TEST(SimSettleEventDriven, PolicySwitchMidRunStaysConsistent) {
-  CounterFixture f;
-  f.s.run(5);
-  EXPECT_EQ(f.q.read(), 5);
-  f.s.set_policy(SchedPolicy::kFullSweep);
-  f.s.run(5);
-  EXPECT_EQ(f.q.read(), 10);
-  f.s.set_policy(SchedPolicy::kEventDriven);
-  f.s.run(5);
-  EXPECT_EQ(f.q.read(), 15);
-}
-
 // ---------------------------------------------------------------------
 // Pending work blocks the quiescence jump of run(n) for the edge that
 // does it; the rest of the run still jumps. Each run below spans a

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
 #include "soc/topologies.hpp"
+#include "state_bytes.hpp"
 #include "tmu/tmu.hpp"
 #include "trace/format.hpp"
 
@@ -81,27 +81,9 @@ std::vector<unsigned char> read_bytes(const std::string& path) {
   return {bytes.begin(), bytes.end()};
 }
 
-struct SaveBytes final : sim::StateVisitor {
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-struct LoadBytes final : sim::StateVisitor {
-  explicit LoadBytes(const std::vector<unsigned char>& bytes)
-      : StateVisitor(bytes.data(), bytes.size()) {}
-  explicit LoadBytes(std::vector<unsigned char>&&) = delete;  // reads in place
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::runtime_error(msg);
-  }
-};
-
-// The bytes `m`'s own visit_state() contributes to a capture.
-std::vector<unsigned char> module_bytes(sim::Module& m) {
-  SaveBytes save;
-  m.visit_state(save);
-  return save.take_bytes();
-}
+using state_bytes::LoadBytes;
+using state_bytes::SaveBytes;
+using state_bytes::state_of;
 
 // The bytes a saver writes for `x` alone.
 template <typename T>
@@ -114,7 +96,7 @@ std::vector<unsigned char> saved_bytes(T x) {
 // Where `m`'s state starts in the capture's payload.
 std::vector<unsigned char>::iterator module_state_in(Snapshot& snap,
                                                      sim::Module& m) {
-  const std::vector<unsigned char> state = module_bytes(m);
+  const std::vector<unsigned char> state = state_of(m);
   const auto at = std::search(snap.payload.begin(), snap.payload.end(),
                               state.begin(), state.end());
   EXPECT_NE(at, snap.payload.end()) << m.name() << " state not in payload";
@@ -128,7 +110,7 @@ void patch_u32(Snapshot& snap, sim::Module& m,
                std::uint32_t to) {
   const auto begin = module_state_in(snap, m);
   ASSERT_NE(begin, snap.payload.end());
-  const auto end = begin + static_cast<std::ptrdiff_t>(module_bytes(m).size());
+  const auto end = begin + static_cast<std::ptrdiff_t>(state_of(m).size());
   sim::bytes::put_le(prefix, from);
   const auto hit = std::search(begin, end, prefix.begin(), prefix.end());
   ASSERT_NE(hit, end) << "field not found in " << m.name();
@@ -144,7 +126,7 @@ std::vector<unsigned char>::iterator find_in_state(
     Snapshot& snap, sim::Module& m, const std::vector<unsigned char>& bytes) {
   const auto begin = module_state_in(snap, m);
   if (begin == snap.payload.end()) return begin;
-  const auto end = begin + static_cast<std::ptrdiff_t>(module_bytes(m).size());
+  const auto end = begin + static_cast<std::ptrdiff_t>(state_of(m).size());
   const auto hit = std::search(begin, end, bytes.begin(), bytes.end());
   EXPECT_NE(hit, end) << "bytes not found in " << m.name();
   EXPECT_EQ(std::search(hit + 1, end, bytes.begin(), bytes.end()), end)

@@ -21,9 +21,9 @@
 #include "sim/state.hpp"
 #include "snapshot/snapshot.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
 #include "soc/idma.hpp"
 #include "soc/topologies.hpp"
+#include "state_bytes.hpp"
 #include "trace/format.hpp"
 #include "trace/recorder.hpp"
 
@@ -113,19 +113,7 @@ TEST(SnapshotRoundtrip, MidReplayTraceTrafficGen) {
   std::remove(path.c_str());
 }
 
-// One module's visit_state() walk as bytes.
-class StateBytes final : public sim::StateVisitor {
- public:
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-std::vector<unsigned char> state_of(sim::Module& m) {
-  StateBytes v;
-  m.visit_state(v);
-  return v.take_bytes();
-}
+using state_bytes::state_of;
 
 // Every module's visit_state() bytes, then the whole capture: the
 // simulator checkpoint, every wire and the metrics registry.

@@ -10,7 +10,6 @@
 
 #include "axi/traffic_gen.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
 #include "soc/topologies.hpp"
 #include "tmu/tmu.hpp"
 

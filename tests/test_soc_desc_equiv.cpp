@@ -16,18 +16,24 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "axi/crossbar.hpp"
+#include "axi/traffic_gen.hpp"
 #include "campaign/campaign.hpp"
+#include "fault/injector.hpp"
 #include "goldens.hpp"
 #include "sim/bytes.hpp"
 #include "sim/logger.hpp"
 #include "sim/state.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
+#include "soc/cpu_stub.hpp"
+#include "soc/idma.hpp"
+#include "soc/reset_unit.hpp"
 #include "soc/topologies.hpp"
+#include "state_bytes.hpp"
+#include "tmu/tmu.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
@@ -44,11 +50,7 @@ const bool g_quiet = [] {
 
 goldens::Goldens g_goldens("soc_goldens");
 
-struct SaveBytes final : sim::StateVisitor {
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
+using state_bytes::SaveBytes;
 
 /// Appends a copy of `x` to the save stream.
 template <typename T>

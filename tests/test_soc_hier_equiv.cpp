@@ -14,12 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "axi/crossbar.hpp"
+#include "axi/traffic_gen.hpp"
 #include "campaign/campaign.hpp"
 #include "fault/injector.hpp"
 #include "sim/logger.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
+#include "soc/cpu_stub.hpp"
+#include "soc/ethernet.hpp"
 #include "soc/idma.hpp"
+#include "soc/llc.hpp"
+#include "soc/reset_unit.hpp"
 #include "soc/topologies.hpp"
 #include "tmu/tmu.hpp"
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "soc/cpu_stub.hpp"
 #include "soc/irq.hpp"
 #include "soc/reset_unit.hpp"
+#include "state_bytes.hpp"
 #include "tmu/tmu.hpp"
 
 namespace {
@@ -69,19 +69,6 @@ struct IrqNet {
   }
 };
 
-class StateBytes final : public sim::StateVisitor {
- public:
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-std::vector<unsigned char> state_of(sim::Module& m) {
-  StateBytes v;
-  m.visit_state(v);
-  return v.take_bytes();
-}
-
 bool is_asleep(const sim::Simulator& s, const std::string& name) {
   for (const sim::sched::ModuleProfile& mp : s.sched_profile().modules) {
     if (mp.name == name) return mp.asleep;
@@ -123,7 +110,8 @@ struct IrqTwin {
       EXPECT_TRUE(r->rsp.read() == d->rsp.read()) << "rsp diverged " << at;
     }
     for (std::size_t i = 0; i < ref.s.modules().size(); ++i) {
-      EXPECT_EQ(state_of(*ref.s.modules()[i]), state_of(*dut.s.modules()[i]))
+      EXPECT_EQ(state_bytes::state_of(*ref.s.modules()[i]),
+                state_bytes::state_of(*dut.s.modules()[i]))
           << ref.s.modules()[i]->name() << " diverged " << at;
     }
   }
@@ -183,13 +171,15 @@ TEST(IrqWake, PlicWakesTheSleepingStubInEitherOrder) {
         t.run(n);
         if (::testing::Test::HasFailure()) return;
       }
+      // One guard timeout, one claim: the handler that cleared the line
+      // and completed its claim never runs again for the same fault.
       EXPECT_EQ(t.ref.cpu.irqs_handled(), t.dut.cpu.irqs_handled());
       EXPECT_EQ(t.ref.cpu.faults_read(), t.dut.cpu.faults_read());
-      EXPECT_GE(t.ref.cpu.irqs_handled(), round + 1);
+      EXPECT_EQ(t.ref.cpu.irqs_handled(), round + 1);
+      EXPECT_EQ(t.ref.cpu.faults_read(), round + 1);
       EXPECT_GE(t.ref.tmu.recoveries(), round + 1);
       EXPECT_TRUE(is_asleep(t.dut.s, "cpu"));
     }
-    EXPECT_GE(t.ref.cpu.faults_read(), 2u);
     EXPECT_EQ(t.ref.rst.resets_performed(), t.dut.rst.resets_performed());
   }
 }

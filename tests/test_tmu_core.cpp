@@ -545,6 +545,28 @@ TEST(TmuRegs, FaultFifoAndIrqClear) {
   EXPECT_EQ((b.tmu.read_reg(kStatus) >> 1) & 1u, 0u);
 }
 
+TEST(TmuRegs, TxnCountReadsOneAfterACompletedWrite) {
+  TmuBench b(test_cfg(Variant::kFullCounter));
+  b.gen.push(TxnDesc{true, 0, 0x100, 3, 3, Burst::kIncr});
+  ASSERT_TRUE(b.s.run_until([&] { return b.gen.completed() >= 1; }, 300));
+  EXPECT_EQ(b.tmu.read_reg(tmu::regs::kTxnCount), 1u);
+}
+
+TEST(TmuRegs, BudgetWriteSetsTheNextDetectionsBudget) {
+  // Adaptive budgets on at build time; the Ctrl write turns them off so
+  // the written AW budget is the one the detection reports.
+  TmuConfig cfg = test_cfg(Variant::kFullCounter);
+  cfg.adaptive.enabled = true;
+  TmuBench b(cfg);
+  using namespace tmu::regs;
+  b.tmu.write_reg(kBudgetAw, 5);
+  b.tmu.write_reg(kCtrl, 0b0111);  // adaptive off
+  b.inj_s.arm(FaultPoint::kAwReadyStuck);
+  b.gen.push(TxnDesc{true, 0, 0x100, 0, 3, Burst::kIncr});
+  ASSERT_TRUE(b.wait_fault(300));
+  EXPECT_EQ(b.tmu.fault_log().front().budget, 5u);
+}
+
 TEST(TmuRegs, RuntimeDisableViaCtrl) {
   TmuBench b(test_cfg(Variant::kFullCounter));
   using namespace tmu::regs;

@@ -19,7 +19,6 @@
 #include "sim/bytes.hpp"
 #include "sim/kernel.hpp"
 #include "soc/builder.hpp"
-#include "soc/cheshire.hpp"
 #include "soc/topologies.hpp"
 #include "trace/format.hpp"
 #include "trace/recorder.hpp"

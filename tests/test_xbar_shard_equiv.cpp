@@ -1,8 +1,8 @@
 // Crossbar link goldens: the sharded crossbar must reproduce, on every
 // external link, the stream pinned in tests/data/xbar_goldens/hashes.txt
 // — through random traffic, decode errors, injected handshake faults on
-// both sides of the crossbar, busy -> idle -> busy transitions,
-// scheduler-policy toggling, crossbars wider than one 64-bit occupancy
+// both sides of the crossbar, busy -> idle -> busy transitions, both
+// scheduler policies, crossbars wider than one 64-bit occupancy
 // word, responses meeting across that word boundary and a reset
 // mid-traffic. A netlist restored from a mid-burst capture must run
 // wire-exact with the uninterrupted one. This is the crossbar gate
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "sim/logger.hpp"
 #include "sim/random.hpp"
 #include "sim/state.hpp"
+#include "state_bytes.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
@@ -51,19 +51,6 @@ goldens::Goldens g_goldens("xbar_goldens");
 // ---------------------------------------------------------------------------
 // Netlist
 // ---------------------------------------------------------------------------
-
-struct SaveBytes final : sim::StateVisitor {
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::logic_error(msg);
-  }
-};
-
-struct LoadBytes final : sim::StateVisitor {
-  using StateVisitor::StateVisitor;
-  [[noreturn]] void fail(const std::string& msg) override {
-    throw std::runtime_error(msg);
-  }
-};
 
 /// What a netlist's traffic looks like beyond its grid size.
 struct Scenario {
@@ -227,13 +214,13 @@ struct XbarNet {
 
   std::vector<unsigned char> capture() {
     s.settle();
-    SaveBytes v;
+    state_bytes::SaveBytes v;
     visit_state(v);
     return v.take_bytes();
   }
 
   void restore(const std::vector<unsigned char>& image) {
-    LoadBytes v(image.data(), image.size());
+    state_bytes::LoadBytes v(image);
     visit_state(v);
     ASSERT_EQ(v.consumed(), image.size());
   }
@@ -352,20 +339,21 @@ TEST(XbarShardEquiv, WiderThanOneMaskWord) {
   run_fuzz(66, 65, 23, {.active = {0, 63, 64, 65}});
 }
 
-// The shards must stay exact under the full-sweep kernel too, and under
-// mid-run policy switches (the facade is not combinational, so both
-// kernels must skip it and evaluate the shards instead).
-TEST(XbarShardEquiv, PolicyTogglingMatchesGoldens) {
-  XbarNet net(3, 2, 99, {}, SchedPolicy::kFullSweep);
-  net.set_traffic(true);
-  sim::Rng rng(5);
-  for (int chunk = 0; chunk < 30; ++chunk) {
-    net.s.set_policy(chunk % 2 == 0 ? SchedPolicy::kEventDriven
-                                    : SchedPolicy::kFullSweep);
-    net.s.run(rng.range(1, 25));
+// The shards must stay exact under either kernel (the facade is not
+// combinational, so both must skip it and evaluate the shards instead):
+// the same netlist, run in the same chunks under each policy, matches
+// one set of goldens.
+TEST(XbarShardEquiv, EachPolicyMatchesGoldens) {
+  for (const SchedPolicy policy :
+       {SchedPolicy::kEventDriven, SchedPolicy::kFullSweep}) {
+    SCOPED_TRACE(sim::sched::to_string(policy));
+    XbarNet net(3, 2, 99, {}, policy);
+    net.set_traffic(true);
+    sim::Rng rng(5);
+    for (int chunk = 0; chunk < 30; ++chunk) net.s.run(rng.range(1, 25));
+    EXPECT_GT(net.completed(), 0u);
+    check_goldens("policy_3x2_s99", net);
   }
-  EXPECT_GT(net.completed(), 0u);
-  check_goldens("policy_3x2_s99", net);
 }
 
 // Simulator::reset() in the middle of bursts: every register, grant
@@ -382,10 +370,8 @@ TEST(XbarShardEquiv, ResetMidTrafficMatchesGoldens) {
   // The crossbar's state, internal wires included, is a power-on
   // crossbar's: reset forces back every occupied internal wire.
   XbarNet fresh(5, 4, 31);
-  SaveBytes after_reset, power_on;
-  net.xbar->visit_state(after_reset);
-  fresh.xbar->visit_state(power_on);
-  EXPECT_TRUE(after_reset.take_bytes() == power_on.take_bytes());
+  EXPECT_TRUE(state_bytes::state_of(*net.xbar) ==
+              state_bytes::state_of(*fresh.xbar));
   for (int c = 0; c < 500; ++c) net.s.step();
   EXPECT_GT(net.completed(), 0u);
   check_goldens("reset_5x4_s31", net);
