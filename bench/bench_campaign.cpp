@@ -180,7 +180,7 @@ void run_warmup_report() {
   bench::header(
       "Snapshot-forked warm-up amortization — cold vs forked trials",
       "every trial shares a warm-up longer than its fault window; "
-      "forking runs it once per scenario (tmu-soc-snapshot-v3)");
+      "forking runs it once per scenario (tmu-soc-snapshot-v4)");
 
   const auto scenarios = build_warm_scenarios(40);
   const campaign::Report cold = run_warm(scenarios, false);

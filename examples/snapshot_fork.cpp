@@ -2,7 +2,7 @@
 //
 // 1. The Fig. 8/9 IP testbench is warmed up for 2000 cycles and its
 //    complete state captured as a snapshot::Snapshot, round-tripped
-//    through the tmu-soc-snapshot-v3 on-disk format.
+//    through the tmu-soc-snapshot-v4 on-disk format.
 // 2. Three trials fork from the loaded snapshot (fresh netlist each,
 //    warmed state restored in) and run on with per-fork seeds; each is
 //    compared wire-for-wire and metric-for-metric against a cold run
@@ -63,7 +63,7 @@ int main() {
               snap.payload.size(),
               static_cast<unsigned long long>(snap.topology_hash));
 
-  // --- 2. Save / load through tmu-soc-snapshot-v3 ---------------------
+  // --- 2. Save / load through tmu-soc-snapshot-v4 ---------------------
   const std::string path = "snapshot_fork_example.tmusnap";
   snapshot::write_file(snap, path);
   const snapshot::Snapshot loaded = snapshot::read_file(path);

@@ -94,7 +94,7 @@ TMU_CAMPAIGN_WORKER=./build/campaign_worker \
   ./build/distributed_campaign > /dev/null
 echo "check.sh: distributed-campaign dispatcher recovery OK"
 
-# Snapshot gate: tmu-soc-snapshot-v3 strict-decode rejection paths +
+# Snapshot gate: tmu-soc-snapshot-v4 strict-decode rejection paths +
 # committed fixture byte-pin, the hier-grid/Cheshire round-trip fuzz, a
 # repeated restore into one netlist pinned at zero heap allocations,
 # then the cold-vs-fork equivalence contract: a warm-up-heavy campaign

@@ -5,10 +5,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <exception>
-#include <fstream>
 #include <thread>
 
+#include "sim/bytes.hpp"
 #include "sim/jsonfmt.hpp"
+#include "sim/random.hpp"
 
 namespace campaign {
 
@@ -17,19 +18,13 @@ namespace {
 using sim::jsonfmt::append_f;
 using sim::jsonfmt::json_escape;
 
-/// SplitMix64 finalizer: decorrelates (base_seed, trial index) pairs so
-/// neighbouring trials get unrelated RNG streams.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 std::uint64_t derive_trial_seed(std::uint64_t base_seed, std::uint64_t index) {
-  return mix64(base_seed ^ mix64(index));
+  // SplitMix64 mixing decorrelates (base_seed, trial index) pairs, so
+  // neighbouring trials get unrelated RNG streams.
+  std::uint64_t x = base_seed ^ sim::splitmix64(index);
+  return sim::splitmix64(x);
 }
 
 TrialList::TrialList(const std::vector<Scenario>& scenarios,
@@ -138,10 +133,7 @@ std::string Report::to_json() const {
 }
 
 bool Report::write_json(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << to_json();
-  return static_cast<bool>(f);
+  return sim::bytes::write_file(path, to_json()) == sim::bytes::FileStatus::kOk;
 }
 
 Engine::Engine(EngineOptions opts) : opts_(opts) {

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -437,12 +436,15 @@ ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
   s.begin = begin;
   s.end = end;
   s.results.resize(end - begin);
+  // The Engine's rule: an empty fn forks each warm-up group's trials
+  // from one warm-up, scoped to this range.
+  const TrialFn body = fn ? fn : make_forking_trial_fn();
   TrialSpec trial;
   for (std::uint64_t i = begin; i < end; ++i) {
     if (progress) progress(i);
     trials.get(i, trial);
     TrialResult& out = s.results[i - begin];
-    out = run_trial_captured(fn, trial);
+    out = run_trial_captured(body, trial);
     // Trace buffers do not ride slices (they are not part of the JSON
     // report; shipping them would dwarf the results).
     out.traces.clear();
@@ -533,13 +535,6 @@ std::string read_file(const fs::path& p) {
     throw std::runtime_error("campaign::remote: cannot read " + p.string());
   }
   return text;
-}
-
-void write_file(const fs::path& p, const std::string& text) {
-  std::ofstream f(p, std::ios::binary | std::ios::trunc);
-  if (!f || !(f << text) || !f.flush()) {
-    throw std::runtime_error("campaign::remote: cannot write " + p.string());
-  }
 }
 
 std::uintmax_t file_size_or_zero(const fs::path& p) {
@@ -655,7 +650,11 @@ Report Dispatcher::run(const CampaignSpec& spec) {
 
   const WorkDir dir;
   const fs::path spec_path = dir.path / "spec.json";
-  write_file(spec_path, spec.to_json());
+  if (sim::bytes::write_file(spec_path.string(), spec.to_json()) !=
+      sim::bytes::FileStatus::kOk) {
+    throw std::runtime_error("campaign::remote: cannot write " +
+                             spec_path.string());
+  }
   const std::uint64_t spec_hash = spec.hash();
 
   std::deque<RangeTask> pending(ranges.begin(), ranges.end());

@@ -97,11 +97,13 @@ using ProgressFn = std::function<void(std::uint64_t next_index)>;
 
 /// Runs trials [begin, end) of the flattened spec in this process (the
 /// campaign_worker binary's core, and the dispatcher's in-process
-/// fallback). Trial failures are captured per-trial exactly like the
-/// Engine does it. Throws std::invalid_argument on an invalid range.
+/// fallback). Like Engine::run, an empty `fn` runs the standard fault
+/// trial forked from one warm-up per group (make_forking_trial_fn), and
+/// trial failures are captured per-trial. Throws std::invalid_argument
+/// on an invalid range.
 ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
                       std::uint64_t end, const ProgressFn& progress = {},
-                      const TrialFn& fn = run_fault_trial);
+                      const TrialFn& fn = {});
 
 /// Index-order merge of slices back into a full report. Validates that
 /// the slices exactly tile [0, spec.total_trials()) with no overlap,

@@ -12,11 +12,13 @@
 #include <utility>
 
 /// The repo's one binary codec, shared by both on-disk formats
-/// (tmu-axi-trace-v1, tmu-soc-snapshot-v3) and the sim::StateVisitor
+/// (tmu-axi-trace-v1, tmu-soc-snapshot-v4) and the sim::StateVisitor
 /// serde: fixed-width little-endian integers independent of the host's
 /// byte order, a bounds-checked cursor for strict decoders, the file
 /// prefix both formats open with, the FNV-1a 64 hash behind every
-/// fingerprint and checksum, and a whole-file read.
+/// fingerprint and checksum, and the whole-file read and write every
+/// artifact (trace, snapshot, campaign spec, slice and report) goes
+/// through: each is encoded in memory first, then written in one call.
 namespace sim::bytes {
 
 /// Stores `v` at p[0, sizeof v), least-significant byte first. On a
@@ -158,7 +160,7 @@ inline std::uint64_t fnv1a64(const void* p, std::size_t n) {
   return fnv1a64(std::string_view(static_cast<const char*>(p), n));
 }
 
-enum class FileStatus { kOk, kCannotOpen, kReadError };
+enum class FileStatus { kOk, kCannotOpen, kReadError, kWriteError };
 
 /// Reads the whole file at `path` into `out`.
 inline FileStatus read_file(const std::string& path, std::string& out) {
@@ -171,6 +173,16 @@ inline FileStatus read_file(const std::string& path, std::string& out) {
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   return read_error ? FileStatus::kReadError : FileStatus::kOk;
+}
+
+/// Writes `bytes` to `path`, replacing any file there.
+inline FileStatus write_file(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return FileStatus::kCannotOpen;
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  const bool closed = std::fclose(f) == 0;
+  return written && closed ? FileStatus::kOk : FileStatus::kWriteError;
 }
 
 }  // namespace sim::bytes

@@ -5,20 +5,24 @@
 
 namespace sim {
 
+/// One SplitMix64 step: advances `x` by the golden-ratio increment and
+/// returns its finalized mix. Seeds Rng, and derives campaign trial
+/// seeds (campaign::derive_trial_seed).
+inline std::uint64_t splitmix64(std::uint64_t& x) {
+  x += 0x9E3779B97F4A7C15ull;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic xoshiro256** PRNG: reproducible across platforms, unlike
 /// std::mt19937 + distribution combinations.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) {
-    // SplitMix64 seeding.
     std::uint64_t x = seed;
-    for (auto& s : state_) {
-      x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      s = z ^ (z >> 31);
-    }
+    for (auto& s : state_) s = splitmix64(x);
   }
 
   std::uint64_t next() {

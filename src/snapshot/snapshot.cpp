@@ -127,12 +127,14 @@ Snapshot decode(const unsigned char* data, std::size_t n) {
 
 void write_file(const Snapshot& snap, const std::string& path) {
   const std::vector<unsigned char> image = encode(snap);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) bail("cannot open '" + path + "' for writing");
-  const bool ok =
-      std::fwrite(image.data(), 1, image.size(), f) == image.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!ok || !closed) bail("write to '" + path + "' failed");
+  const sim::bytes::FileStatus st = sim::bytes::write_file(
+      path, {reinterpret_cast<const char*>(image.data()), image.size()});
+  if (st == sim::bytes::FileStatus::kCannotOpen) {
+    bail("cannot open '" + path + "' for writing");
+  }
+  if (st == sim::bytes::FileStatus::kWriteError) {
+    bail("write to '" + path + "' failed");
+  }
 }
 
 Snapshot read_file(const std::string& path) {

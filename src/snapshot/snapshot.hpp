@@ -29,17 +29,19 @@
 /// (campaign::make_forking_trial_fn), restoring each trial into a pooled
 /// netlist that earlier trials of the group ran on.
 ///
-/// On-disk format `tmu-soc-snapshot-v3` (strict, versioned,
+/// On-disk format `tmu-soc-snapshot-v4` (strict, versioned,
 /// checksummed; encoded with the shared sim/bytes.hpp codec, all
 /// integers little-endian):
 ///
 ///   offset  size  field
 ///   0       16    magic "tmu-soc-snapshot"
-///   16      4     version (currently 3; older images are rejected: v2
-///                 also carried the crossbar's per-shard edge flags and
-///                 its facade's edge report, which nothing read, and v1
-///                 the scheduler's traced fan-out and every wire's
-///                 scheduling slot)
+///   16      4     version (currently 4; older images are rejected: v3
+///                 also carried a trace replayer's copy of its input
+///                 stream and held a recorder's last presentations as
+///                 8-field payloads, v2 the crossbar's per-shard edge
+///                 flags and its facade's edge report, which nothing
+///                 read, and v1 the scheduler's traced fan-out and every
+///                 wire's scheduling slot)
 ///   20      8     topology hash (SocDesc::hash() of the captured desc)
 ///   28      8     cycle at capture
 ///   36      8     payload byte count N
@@ -56,7 +58,7 @@ namespace snapshot {
 
 inline constexpr std::size_t kMagicBytes = 16;
 inline constexpr char kMagic[kMagicBytes + 1] = "tmu-soc-snapshot";
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 /// Fixed bytes before the payload (magic + version + hash + cycle + count).
 inline constexpr std::size_t kHeaderBytes = kMagicBytes + 4 + 8 + 8 + 8;
 inline constexpr std::size_t kChecksumBytes = 8;

@@ -6,7 +6,8 @@
 //   16      4     u32 version (= 1)
 //   20      8     u64 topology hash (SocDesc::hash() of the capture run)
 //   28      8     u64 dropped (records lost to the capture bound)
-//   36      8     u64 record count (kTraceUnfinalized until close)
+//   36      8     u64 record count (never kTraceUnfinalized, which only
+//                 a truncated or foreign file carries)
 //   44      4     u32 link-name length
 //   48      n     link name bytes
 //   48+n    32*k  records
@@ -28,8 +29,6 @@ namespace trace {
 
 namespace {
 
-constexpr std::size_t kCountOffset = kTraceMagicBytes + 4 + 8;  // dropped
-constexpr std::size_t kFlushBlockBytes = 64 * 1024;
 constexpr std::uint8_t kFlagLast = 0x1;
 constexpr std::uint8_t kFlagRetract = 0x2;
 
@@ -108,81 +107,18 @@ void encode_record(std::string& out, const TraceRecord& raw,
   put_le<std::uint64_t>(out, r.data);
 }
 
-std::string encode_header(const std::string& link, std::uint64_t hash,
-                          std::uint64_t dropped, std::uint64_t count) {
-  std::string out;
-  sim::bytes::put_prefix(out, {kTraceMagic, kTraceMagicBytes}, kTraceVersion,
-                         hash);
-  put_le(out, dropped);
-  put_le(out, count);
-  put_le(out, static_cast<std::uint32_t>(link.size()));
-  out += link;
-  return out;
-}
-
 }  // namespace
 
-// ------------------------------------------------------------------
-// Streamed writer
-// ------------------------------------------------------------------
-
-TraceWriter::TraceWriter(const std::string& path, const std::string& link,
-                         std::uint64_t topology_hash) {
-  f_ = std::fopen(path.c_str(), "wb");
-  if (f_ == nullptr) {
-    ok_ = false;
-    return;
-  }
-  const std::string hdr =
-      encode_header(link, topology_hash, /*dropped=*/0, kTraceUnfinalized);
-  if (std::fwrite(hdr.data(), 1, hdr.size(), f_) != hdr.size()) ok_ = false;
-}
-
-TraceWriter::~TraceWriter() {
-  if (f_ != nullptr) close();
-}
-
-void TraceWriter::append(const TraceRecord& r) {
-  if (!ok_ || f_ == nullptr) return;
-  encode_record(block_, r, last_cycle_, count_);
-  ++count_;
-  if (block_.size() >= kFlushBlockBytes) flush();
-}
-
-void TraceWriter::flush() {
-  if (block_.empty() || f_ == nullptr) return;
-  if (std::fwrite(block_.data(), 1, block_.size(), f_) != block_.size()) {
-    ok_ = false;
-  }
-  block_.clear();
-}
-
-bool TraceWriter::close() {
-  if (f_ == nullptr) return false;
-  flush();
-  // Patch dropped + record count (adjacent u64 fields); an unpatched
-  // header keeps the kTraceUnfinalized sentinel and reads as corrupt.
-  if (ok_) {
-    std::string patch;
-    put_le(patch, dropped_);
-    put_le(patch, count_);
-    if (std::fseek(f_, static_cast<long>(kCountOffset), SEEK_SET) != 0 ||
-        std::fwrite(patch.data(), 1, patch.size(), f_) != patch.size()) {
-      ok_ = false;
-    }
-  }
-  if (std::fclose(f_) != 0) ok_ = false;
-  f_ = nullptr;
-  return ok_;
-}
-
-// ------------------------------------------------------------------
-// Whole-buffer encode / strict decode
-// ------------------------------------------------------------------
-
 std::string encode_trace(const TraceBuffer& buf) {
-  std::string out = encode_header(buf.link, buf.topology_hash, buf.dropped,
-                                  buf.records.size());
+  std::string out;
+  out.reserve(kTraceHeaderFixedBytes + buf.link.size() +
+              buf.records.size() * kTraceRecordBytes);
+  sim::bytes::put_prefix(out, {kTraceMagic, kTraceMagicBytes}, kTraceVersion,
+                         buf.topology_hash);
+  put_le(out, buf.dropped);
+  put_le<std::uint64_t>(out, buf.records.size());
+  put_le(out, static_cast<std::uint32_t>(buf.link.size()));
+  out += buf.link;
   std::uint64_t last = 0;
   for (std::size_t i = 0; i < buf.records.size(); ++i) {
     encode_record(out, buf.records[i], last, i);
@@ -207,7 +143,8 @@ TraceBuffer decode_trace(std::string_view bytes) {
   buf.dropped = in.le<std::uint64_t>();
   const std::uint64_t count = in.le<std::uint64_t>();
   if (count == kTraceUnfinalized) {
-    bad("unfinalized trace (the writer was never closed)");
+    bad("unfinalized trace (record count sentinel: a truncated or foreign "
+        "file)");
   }
   const std::uint32_t link_len = in.le<std::uint32_t>();
   if (link_len > 4096) {
@@ -275,10 +212,8 @@ TraceBuffer decode_trace(std::string_view bytes) {
 }
 
 bool write_trace_file(const std::string& path, const TraceBuffer& buf) {
-  TraceWriter w(path, buf.link, buf.topology_hash);
-  for (const TraceRecord& r : buf.records) w.append(r);
-  w.set_dropped(buf.dropped);
-  return w.close();
+  return sim::bytes::write_file(path, encode_trace(buf)) ==
+         sim::bytes::FileStatus::kOk;
 }
 
 TraceBuffer read_trace_file(const std::string& path) {

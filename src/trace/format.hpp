@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,12 +30,12 @@
 ///
 /// On disk: a fixed header (magic, version, topology hash, link name,
 /// record count, drop count) followed by `record_count` fixed-width
-/// 32-byte little-endian records with delta-encoded cycle stamps. The
-/// record count is patched on close; a crashed writer leaves the
-/// sentinel in place and the reader rejects the file as unfinalized.
-/// The reader is strict: bad magic/version/enum values, truncated or
-/// trailing bytes, and malformed flags all throw with a message naming
-/// the offset.
+/// 32-byte little-endian records with delta-encoded cycle stamps. A
+/// file is encoded whole from a complete buffer (encode_trace), so its
+/// header always carries the real count. The reader is strict: bad
+/// magic/version/enum values, the unfinalized count sentinel, truncated
+/// or trailing bytes, and malformed flags all throw with a message
+/// naming the offset.
 namespace trace {
 
 inline constexpr std::uint32_t kTraceVersion = 1;
@@ -46,7 +45,9 @@ inline constexpr std::size_t kTraceRecordBytes = 32;
 /// Header bytes before the variable-length link name.
 inline constexpr std::size_t kTraceHeaderFixedBytes =
     kTraceMagicBytes + 4 + 8 + 8 + 8 + 4;
-/// record_count sentinel until TraceWriter::close patches the real one.
+/// A record_count the encoder never writes: the placeholder a streaming
+/// writer leaves until it patches the real count, so a file carrying it
+/// is truncated or foreign.
 inline constexpr std::uint64_t kTraceUnfinalized = ~std::uint64_t{0};
 
 /// Which AXI channel a record belongs to (on-disk encoding).
@@ -65,7 +66,7 @@ inline const char* to_string(Channel c) {
 
 /// One trace record. Cycles are absolute in memory and delta-encoded on
 /// disk. Fields not meaningful for a channel are zero (canonical — the
-/// writer enforces it so buffers compare byte-for-byte).
+/// encoder enforces it so buffers compare byte-for-byte).
 struct TraceRecord {
   std::uint64_t cycle = 0;
   Channel ch = Channel::kAw;
@@ -121,53 +122,18 @@ struct TraceBuffer {
   }
 };
 
-/// Streamed binary writer with bounded buffering: records are encoded
-/// into a fixed flush block, never accumulated whole-file in memory.
-/// I/O failures latch ok() false (checked at close); non-monotone cycle
-/// stamps throw std::invalid_argument (a programming error, not a file
-/// problem).
-class TraceWriter {
- public:
-  TraceWriter(const std::string& path, const std::string& link,
-              std::uint64_t topology_hash);
-  ~TraceWriter();
-
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-
-  void append(const TraceRecord& r);
-  void set_dropped(std::uint64_t dropped) { dropped_ = dropped; }
-
-  /// Flushes, patches the header's record/drop counts and closes the
-  /// file. Returns false if any I/O step failed (the file is then not a
-  /// valid trace and the reader will say so).
-  bool close();
-
-  bool ok() const { return ok_; }
-  std::uint64_t written() const { return count_; }
-
- private:
-  void flush();
-
-  std::FILE* f_ = nullptr;
-  std::string block_;  ///< pending encoded records (bounded)
-  std::uint64_t last_cycle_ = 0;
-  std::uint64_t count_ = 0;
-  std::uint64_t dropped_ = 0;
-  bool ok_ = true;
-};
-
-/// In-memory encode of a whole buffer (finalized header included) —
-/// byte-identical to what TraceWriter streams out for the same records.
+/// Encodes a whole buffer, header included: the bytes of a trace file.
+/// Non-monotone cycle stamps throw std::invalid_argument (a programming
+/// error, not a file problem).
 std::string encode_trace(const TraceBuffer& buf);
 
 /// Strict decode. Throws std::runtime_error ("tmu-axi-trace: ...") on
 /// any malformed, truncated, unfinalized or trailing-garbage input.
 TraceBuffer decode_trace(std::string_view bytes);
 
-/// Convenience file round-trip. write_trace_file returns false on I/O
-/// failure; read_trace_file throws like decode_trace (plus on open
-/// failure, naming the path).
+/// File round-trip. write_trace_file writes encode_trace(buf) and
+/// returns false on I/O failure; read_trace_file throws like
+/// decode_trace (plus on open failure, naming the path).
 bool write_trace_file(const std::string& path, const TraceBuffer& buf);
 TraceBuffer read_trace_file(const std::string& path);
 

@@ -66,20 +66,19 @@ class Recorder : public sim::Module {
     // presentation records because the fire cleared the flag between
     // them. A payload change while valid stays up without a fire is an
     // AXI violation; record it defensively as retract + re-present so
-    // the stream stays replayable.
-    step_mgr(Channel::kAw, q.aw_valid, axi::aw_fire(q, s), aw_pending_,
-             aw_held_, TraceRecord{cycle_, Channel::kAw, false, q.aw.id,
-                                   q.aw.addr, 0, q.aw.len, q.aw.size,
-                                   static_cast<std::uint8_t>(q.aw.burst), 0, 0,
-                                   false});
-    step_mgr(Channel::kW, q.w_valid, axi::w_fire(q, s), w_pending_, w_held_,
-             TraceRecord{cycle_, Channel::kW, false, 0, 0, q.w.data, 0, 0, 0,
-                         0, q.w.strb, q.w.last});
-    step_mgr(Channel::kAr, q.ar_valid, axi::ar_fire(q, s), ar_pending_,
-             ar_held_, TraceRecord{cycle_, Channel::kAr, false, q.ar.id,
-                                   q.ar.addr, 0, q.ar.len, q.ar.size,
-                                   static_cast<std::uint8_t>(q.ar.burst), 0, 0,
-                                   false});
+    // the stream stays replayable. Presentations are built with cycle 0,
+    // the form a held one keeps, and stamped as they are pushed.
+    step_mgr(q.aw_valid, axi::aw_fire(q, s), aw_pending_, aw_held_,
+             TraceRecord{0, Channel::kAw, false, q.aw.id, q.aw.addr, 0,
+                         q.aw.len, q.aw.size,
+                         static_cast<std::uint8_t>(q.aw.burst), 0, 0, false});
+    step_mgr(q.w_valid, axi::w_fire(q, s), w_pending_, w_held_,
+             TraceRecord{0, Channel::kW, false, 0, 0, q.w.data, 0, 0, 0, 0,
+                         q.w.strb, q.w.last});
+    step_mgr(q.ar_valid, axi::ar_fire(q, s), ar_pending_, ar_held_,
+             TraceRecord{0, Channel::kAr, false, q.ar.id, q.ar.addr, 0,
+                         q.ar.len, q.ar.size,
+                         static_cast<std::uint8_t>(q.ar.burst), 0, 0, false});
 
     // Subordinate-driven channels: handshake cycles.
     if (axi::b_fire(q, s)) {
@@ -134,48 +133,18 @@ class Recorder : public sim::Module {
   std::uint64_t cycles() const { return cycle_; }
 
  private:
-  struct Held {
-    axi::Id id = 0;
-    axi::Addr addr = 0;
-    axi::Data data = 0;
-    std::uint8_t len = 0, size = 0, burst = 0, strb = 0;
-    bool last = false;
-
-    template <typename V>
-    void visit_fields(V& v) {
-      visit(v, id);
-      visit(v, addr);
-      visit(v, data);
-      visit(v, len);
-      visit(v, size);
-      visit(v, burst);
-      visit(v, strb);
-      visit(v, last);
-    }
-  };
-
-  static Held held_of(const TraceRecord& r) {
-    return Held{r.id, r.addr, r.data, r.len, r.size, r.burst, r.strb, r.last};
-  }
-  static bool same_payload(const Held& a, const Held& b) {
-    return a.id == b.id && a.addr == b.addr && a.data == b.data &&
-           a.len == b.len && a.size == b.size && a.burst == b.burst &&
-           a.strb == b.strb && a.last == b.last;
-  }
-
-  void step_mgr(Channel ch, bool valid, bool fire, bool& pending, Held& held,
-                const TraceRecord& present) {
+  void step_mgr(bool valid, bool fire, bool& pending, TraceRecord& held,
+                const TraceRecord& now) {
     if (valid) {
-      const Held now = held_of(present);
-      if (!pending) {
-        push(present);
-      } else if (!same_payload(now, held)) {
-        push(TraceRecord{cycle_, ch, /*retract=*/true});
+      if (!pending || !(now == held)) {
+        if (pending) push(TraceRecord{cycle_, now.ch, /*retract=*/true});
+        TraceRecord present = now;
+        present.cycle = cycle_;
         push(present);
       }
       held = now;
     } else if (pending) {
-      push(TraceRecord{cycle_, ch, /*retract=*/true});
+      push(TraceRecord{cycle_, now.ch, /*retract=*/true});
     }
     pending = valid && !fire;
   }
@@ -201,7 +170,8 @@ class Recorder : public sim::Module {
   std::size_t capacity_;
   TraceBuffer buf_;
   bool aw_pending_ = false, w_pending_ = false, ar_pending_ = false;
-  Held aw_held_{}, w_held_{}, ar_held_{};
+  /// Each channel's last presentation, cycle cleared.
+  TraceRecord aw_held_{}, w_held_{}, ar_held_{};
   std::uint64_t cycle_ = 0;
 
   obs::Counter* records_ = nullptr;

@@ -5,7 +5,6 @@
 namespace trace {
 
 void TraceTrafficGen::visit_state(sim::StateVisitor& v) {
-  visit(v, buf_);
   visit(v, aw_);
   visit(v, w_);
   visit(v, ar_);
@@ -16,8 +15,7 @@ void TraceTrafficGen::visit_state(sim::StateVisitor& v) {
 TraceTrafficGen::TraceTrafficGen(std::string name, axi::Link& link)
     : sim::Module(std::move(name)), link_(link) {}
 
-void TraceTrafficGen::set_stream(TraceBuffer buf) {
-  buf_ = std::move(buf);
+void TraceTrafficGen::set_stream(const TraceBuffer& buf) {
   aw_ = ChannelPlan{};
   w_ = ChannelPlan{};
   ar_ = ChannelPlan{};
@@ -35,7 +33,7 @@ void TraceTrafficGen::set_stream(TraceBuffer buf) {
     }
     return nullptr;
   };
-  for (const TraceRecord& r : buf_.records) {
+  for (const TraceRecord& r : buf.records) {
     ChannelPlan* c = plan_of(r.ch);
     if (c == nullptr) continue;
     if (r.retract) {

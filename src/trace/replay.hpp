@@ -37,12 +37,11 @@ class TraceTrafficGen : public sim::Module {
  public:
   TraceTrafficGen(std::string name, axi::Link& link);
 
-  /// Installs the stream to replay (replacing any previous one) and
-  /// rewinds progress. Cycle stamps are relative to the module's last
-  /// reset, so install-then-run-from-reset reproduces the recording.
-  void set_stream(TraceBuffer buf);
-
-  const TraceBuffer& stream() const { return buf_; }
+  /// Splits `buf` into per-channel presentation plans (replacing any
+  /// previous ones) and rewinds progress; the buffer itself is not
+  /// kept. Cycle stamps are relative to the module's last reset, so
+  /// install-then-run-from-reset reproduces the recording.
+  void set_stream(const TraceBuffer& buf);
 
   /// Presentation events consumed (fired or retracted on schedule).
   std::uint64_t events_replayed() const;
@@ -57,7 +56,7 @@ class TraceTrafficGen : public sim::Module {
   void tick() override;
   void reset() override;
 
-  /// State serde (sim/state.hpp): stream, per-channel plan progress.
+  /// State serde (sim/state.hpp): the channel plans and their progress.
   void visit_state(sim::StateVisitor& v) override;
 
  private:
@@ -99,7 +98,6 @@ class TraceTrafficGen : public sim::Module {
   bool advance(ChannelPlan& c, bool fired);
 
   axi::Link& link_;
-  TraceBuffer buf_;  ///< retained for metadata (link, hash, dropped)
   ChannelPlan aw_, w_, ar_;
   std::uint64_t cycle_ = 0;
 };

@@ -308,4 +308,8 @@ TEST_F(CampaignEngine, WriteJsonRoundTrips) {
   EXPECT_EQ(written, rep.to_json());
 }
 
+TEST_F(CampaignEngine, WriteJsonToAnUnwritablePathFails) {
+  EXPECT_FALSE(campaign::Report{}.write_json("/nonexistent/dir/campaign.json"));
+}
+
 }  // namespace

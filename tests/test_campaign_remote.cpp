@@ -588,4 +588,53 @@ TEST_F(CampaignRemote, DispatcherSurvivesUnspawnableWorkerBinary) {
   EXPECT_EQ(d.stats().fallback_ranges, 2u);
 }
 
+/// Trials with a warm-up phase: two fault groups and a healthy soak,
+/// each its own warm-up group (the soak's warm-up length differs).
+CampaignSpec warm_spec() {
+  campaign::TrialSpec fc =
+      proto(Variant::kFullCounter, FaultPoint::kAwReadyStuck);
+  fc.warmup_cycles = 600;
+  campaign::TrialSpec tc =
+      proto(Variant::kTinyCounter, FaultPoint::kRValidStuck);
+  tc.warmup_cycles = 400;
+  campaign::TrialSpec soak = proto(Variant::kFullCounter, FaultPoint::kNone);
+  soak.warmup_cycles = 500;
+  soak.soak_cycles = 1000;
+  CampaignSpec spec;
+  spec.base_seed = 0x3A7Dull;
+  spec.scenarios = {campaign::make_scenario("fc/aw_ready_stuck", fc, 4),
+                    campaign::make_scenario("tc/r_valid_stuck", tc, 4),
+                    campaign::make_scenario("healthy", soak, 3)};
+  return spec;
+}
+
+TEST_F(CampaignRemote, WarmedUpTrialsMatchEngineOnEveryRemotePath) {
+  // run_range's default body forks each range's trials from one warm-up
+  // per group, like Engine::run: merged slices, the in-process
+  // dispatcher and forked workers all reproduce the engine's report.
+  const CampaignSpec spec = warm_spec();
+  const std::string expected =
+      campaign::Engine({1, spec.base_seed}).run(spec.scenarios).to_json();
+  EXPECT_EQ(
+      campaign::remote::merge_slices(spec, slice_at(spec, {3, 7}, {}))
+          .to_json(),
+      expected);
+
+  DispatcherOptions in_process;
+  in_process.workers = 2;
+  in_process.shards = 3;
+  EXPECT_EQ(Dispatcher(in_process).run(spec).to_json(), expected);
+
+  ASSERT_FALSE(worker_bin().empty());
+  DispatcherOptions forked;
+  forked.worker_binary = worker_bin();
+  forked.workers = 3;
+  forked.poll_interval_ms = 5;
+  Dispatcher d(forked);
+  EXPECT_EQ(d.run(spec).to_json(), expected);
+  EXPECT_GE(d.stats().spawned, 3u);
+  EXPECT_EQ(d.stats().crashed + d.stats().hung + d.stats().corrupt, 0u);
+  EXPECT_EQ(d.stats().fallback_ranges, 0u);
+}
+
 }  // namespace

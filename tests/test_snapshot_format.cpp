@@ -1,4 +1,4 @@
-// tmu-soc-snapshot-v3 on-disk format: strict decode with every
+// tmu-soc-snapshot-v4 on-disk format: strict decode with every
 // rejection path pinned by byte mutation, restore() contract
 // violations, and the committed fixture byte-pin (decode -> re-encode
 // byte-identical AND re-capture byte-identical, so the walk itself is
@@ -168,6 +168,12 @@ TEST(SnapshotFormat, FileRoundTripIsExact) {
   EXPECT_EQ(loaded, snap);
 }
 
+TEST(SnapshotFormat, WriteToAnUnwritablePathNamesIt) {
+  const std::string path = "/nonexistent/dir/x.tmusnap";
+  expect_rejects([&] { snapshot::write_file(small_snapshot(), path); },
+                 "cannot open '" + path + "' for writing");
+}
+
 TEST(SnapshotFormat, RejectsTruncationAtEveryBoundary) {
   const std::vector<unsigned char> image = snapshot::encode(small_snapshot());
   const std::size_t cuts[] = {0,
@@ -202,19 +208,21 @@ TEST(SnapshotFormat, RejectsUnsupportedVersion) {
 }
 
 TEST(SnapshotFormat, RejectsOlderVersionImages) {
-  // v2 payloads also carried the crossbar's per-shard edge flags and its
-  // facade's edge report, v1 payloads the scheduler's traced fan-out and
-  // every wire's scheduling slot; a v3 reader must refuse both by name
-  // rather than misread the walk.
+  // v3 payloads also carried a trace replayer's copy of its input stream
+  // and a recorder's held presentations as 8-field payloads, v2 payloads
+  // the crossbar's per-shard edge flags and its facade's edge report, v1
+  // payloads the scheduler's traced fan-out and every wire's scheduling
+  // slot; a v4 reader must refuse all three by name rather than misread
+  // the walk.
   const std::vector<unsigned char> image =
       snapshot::encode(small_snapshot());
-  ASSERT_EQ(image[snapshot::kMagicBytes], 3);
-  for (const unsigned char old : {1, 2}) {
+  ASSERT_EQ(image[snapshot::kMagicBytes], 4);
+  for (const unsigned char old : {1, 2, 3}) {
     std::vector<unsigned char> older = image;
     older[snapshot::kMagicBytes] = old;
     expect_rejects([&] { snapshot::decode(older); },
                    "unsupported version " + std::to_string(old) +
-                       " (reader knows 3)");
+                       " (reader knows 4)");
   }
 }
 

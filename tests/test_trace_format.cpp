@@ -1,6 +1,6 @@
 // tmu-axi-trace-v1 binary format: canonical encode/decode round-trips,
-// the streamed writer vs. the in-memory encoder, strict-reader error
-// paths, and byte-identity of the committed regression fixture.
+// the file writer vs. the in-memory encoder, strict-reader error paths,
+// and byte-identity of the committed regression fixture.
 
 #include <gtest/gtest.h>
 
@@ -96,21 +96,15 @@ TEST(TraceFormat, EncoderRejectsNonMonotoneCycles) {
   EXPECT_THROW(encode_trace(buf), std::invalid_argument);
 }
 
-TEST(TraceFormat, WriterStreamsByteIdenticalToEncoder) {
+TEST(TraceFormat, WriteTraceFileWritesTheEncodedBytes) {
   const TraceBuffer buf = sample_buffer();
   const std::string path = ::testing::TempDir() + "trace_writer_test.axitrace";
-  {
-    TraceWriter wtr(path, buf.link, buf.topology_hash);
-    for (const TraceRecord& rec : buf.records) wtr.append(rec);
-    wtr.set_dropped(buf.dropped);
-    EXPECT_EQ(wtr.written(), buf.records.size());
-    EXPECT_TRUE(wtr.close());
-  }
+  ASSERT_TRUE(write_trace_file(path, buf));
   std::string written;
   ASSERT_EQ(sim::bytes::read_file(path, written), sim::bytes::FileStatus::kOk);
   EXPECT_EQ(written, encode_trace(buf));
-  EXPECT_EQ(read_trace_file(path), buf);
   std::remove(path.c_str());
+  EXPECT_FALSE(write_trace_file("/nonexistent/dir/x.axitrace", buf));
 }
 
 TEST(TraceFormat, WriteReadFileRoundTrips) {

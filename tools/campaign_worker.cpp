@@ -108,19 +108,6 @@ std::string read_file(const std::string& path) {
   return text;
 }
 
-void write_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f || !(f << text) || !f.flush()) {
-      throw std::runtime_error("cannot write " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("cannot rename " + tmp + " to " + path);
-  }
-}
-
 /// Thrown from the progress hook to abort the range for corrupt mode.
 struct CorruptAbort {};
 
@@ -192,15 +179,22 @@ int main(int argc, char** argv) {
       }
     };
 
+    std::string text;
     try {
-      const campaign::remote::ReportSlice slice =
-          campaign::remote::run_range(spec, begin, end, on_progress);
-      write_file_atomic(out_path, slice.to_json());
+      text = campaign::remote::run_range(spec, begin, end, on_progress)
+                 .to_json();
     } catch (const CorruptAbort&) {
       // A garbage-emitting worker: claims success, delivers junk. The
       // dispatcher must catch this via slice validation, not trust
       // exit codes.
-      write_file_atomic(out_path, "{ this is not a report slice ]\n");
+      text = "{ this is not a report slice ]\n";
+    }
+    const std::string tmp = out_path + ".tmp";
+    if (sim::bytes::write_file(tmp, text) != sim::bytes::FileStatus::kOk) {
+      throw std::runtime_error("cannot write " + tmp);
+    }
+    if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
+      throw std::runtime_error("cannot rename " + tmp + " to " + out_path);
     }
     return 0;
   } catch (const std::exception& e) {
